@@ -450,7 +450,8 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--config", required=True, help="JSON config path")
         q.add_argument("--out", required=True, help="output directory")
         q.add_argument("--seed", type=int, default=None, help="override config seed")
-        q.add_argument("--threads", type=int, default=None, help="worker cap for sampling")
+        if name == "estimate":
+            q.add_argument("--threads", type=int, default=None, help="worker cap for sampling")
         if name == "simulate-pair":
             q.add_argument("--import-nifti", dest="import_nifti", default=None,
                            help="use this NIfTI-1 float32 image as the source")
@@ -464,12 +465,12 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
         if args.command == "simulate-pair":
             return cmd_simulate_pair(cfg, out_dir, seed, nifti_path=args.import_nifti)
         if args.command == "estimate":
+            threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
+            if threads < 1:
+                raise ConfigError("threads must be >= 1")
             return cmd_estimate(cfg, out_dir, seed, threads)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, out_dir, seed)

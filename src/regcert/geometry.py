@@ -77,6 +77,8 @@ def trilinear_sample(field: np.ndarray, pts: np.ndarray) -> np.ndarray:
     scalar = field.ndim == 3
     data = field[..., None] if scalar else field
     shape = data.shape[:3]
+    rows = data.reshape(-1, data.shape[3])
+    strides = (shape[1] * shape[2], shape[2], 1)
 
     idx0 = []
     idx1 = []
@@ -89,17 +91,27 @@ def trilinear_sample(field: np.ndarray, pts: np.ndarray) -> np.ndarray:
         else:
             i0 = np.minimum(np.floor(x).astype(np.intp), n - 2)
         i1 = np.minimum(i0 + 1, n - 1)
-        idx0.append(i0)
-        idx1.append(i1)
-        frac.append((x - i0).astype(np.float64))
+        idx0.append(i0 * strides[ax])
+        idx1.append(i1 * strides[ax])
+        frac.append(x - i0)
 
     tx, ty, tz = frac
-    out = np.zeros((len(pts), data.shape[3]), dtype=np.float64)
+    out = np.zeros((len(pts), rows.shape[1]), dtype=np.float64)
+    vals = np.empty(out.shape, dtype=rows.dtype)
+    # Products are taken in float64 whatever the field dtype.
+    prod = vals if rows.dtype == np.float64 else np.empty_like(out)
+    idx = np.empty(len(pts), dtype=np.intp)
     for cx, wx in ((idx0[0], 1.0 - tx), (idx1[0], tx)):
         for cy, wy in ((idx0[1], 1.0 - ty), (idx1[1], ty)):
             wxy = wx * wy
+            cxy = cx + cy
             for cz, wz in ((idx0[2], 1.0 - tz), (idx1[2], tz)):
-                out += (wxy * wz)[:, None] * data[cx, cy, cz]
+                np.add(cxy, cz, out=idx)
+                # Indices are in range by construction; mode="clip" avoids
+                # the temporary copy of ``out`` that mode="raise" makes.
+                rows.take(idx, axis=0, out=vals, mode="clip")
+                np.multiply((wxy * wz)[:, None], vals, out=prod)
+                out += prod
     return out[:, 0] if scalar else out
 
 
@@ -160,7 +172,9 @@ class AffineTransform(Transform):
         return cls(a, b)
 
     def apply(self, pts):
-        return pts @ self.matrix.T + self.offset
+        # einsum's own loops, not BLAS: a K=3 product is too small to
+        # thread, and BLAS worker threads spin on the spare cores after it.
+        return np.einsum("...j,ij->...i", pts, self.matrix) + self.offset
 
     def jacobian(self, pts):
         return np.broadcast_to(self.matrix, (len(pts), 3, 3)).copy()

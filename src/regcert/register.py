@@ -267,36 +267,40 @@ def _ssd_level(src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray,
     center = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
     q = grid - center
     tgt_flat = tgt.reshape(-1).astype(np.float64)
-    grad_vol = _image_gradient(src.astype(np.float64))
+    # Intensity and gradient as one field, so a trial costs one gather.
+    src_and_grad = np.empty(shape + (4,))
+    src_and_grad[..., 0] = src
+    src_and_grad[..., 1:] = _image_gradient(src.astype(np.float64))
     m = len(grid)
 
     def objective(a_, b_):
-        pos = q @ a_.T + center + b_
-        r = trilinear_sample(src, pos) - tgt_flat
-        return pos, r, float(np.mean(r * r))
+        # einsum, not BLAS, for the K=3 products (see AffineTransform.apply).
+        pos = np.einsum("nj,ij->ni", q, a_) + center + b_
+        sampled = trilinear_sample(src_and_grad, pos)
+        r = sampled[:, 0] - tgt_flat
+        return sampled[:, 1:], r, float(np.mean(r * r))
 
     u = b + a @ center - center  # offset in the centered parameterization
-    pos, r, e = objective(a, u)
+    g, r, e = objective(a, u)
     best_a, best_u, best_e = a.copy(), u.copy(), e
     eta = step
     increases = 0
     diverged = False
     for it in range(iters):
-        g = trilinear_sample(grad_vol, pos)
         rg = r[:, None] * g
-        grad_a = 2.0 / m * rg.T @ q
+        grad_a = np.einsum("ni,nj->ij", 2.0 / m * rg, q)
         grad_u = 2.0 / m * rg.sum(axis=0)
         # Gauss-Newton diagonal as a per-parameter scale.
         g2 = g * g
         h_u = 2.0 / m * g2.sum(axis=0)
-        h_a = 2.0 / m * g2.T @ (q * q)
+        h_a = np.einsum("ni,nj->ij", 2.0 / m * g2, q * q)
         floor = 1e-12 * max(float(h_a.max()), float(h_u.max()), 1e-300)
         new_a = a - eta * grad_a / np.maximum(h_a, floor)
         new_u = u - eta * grad_u / np.maximum(h_u, floor)
-        pos_n, r_n, e_n = objective(new_a, new_u)
+        g_n, r_n, e_n = objective(new_a, new_u)
         if e_n <= e:
             improvement = e - e_n
-            a, u, pos, r, e = new_a, new_u, pos_n, r_n, e_n
+            a, u, g, r, e = new_a, new_u, g_n, r_n, e_n
             eta = min(eta * 1.2, 1.0)
             increases = 0
             if e < best_e:

@@ -91,7 +91,13 @@ def _one_sample(backend, source, target, spec, n):
     try:
         fitted = backend.register(perturbed, target, perturbation=tau, nonce=n)
     except Exception as exc:
-        raise type(exc)(f"backend failed on perturbation sample {n}: {exc}") from exc
+        msg = f"backend failed on perturbation sample {n}: {exc}"
+        try:
+            wrapped = type(exc)(msg)
+        except TypeError:
+            # The exception type cannot be built from a message alone.
+            wrapped = RuntimeError(msg)
+        raise wrapped from exc
     grid = grid_points(fitted.shape).reshape(-1, 3)
     # Compose tau o fitted with tau evaluated analytically at fitted(y).
     return tau.apply(grid + fitted.displacement.reshape(-1, 3))

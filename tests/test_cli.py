@@ -408,6 +408,15 @@ def test_nonpositive_threads_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["simulate-pair", "evaluate", "lemma-check"])
+def test_threads_flag_rejected_outside_estimate(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "cfg.json", base_sim_cfg())
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_unknown_phi_kind_exits_one(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path, "lemma.json", {"lemma": {"phi": {"kind": "rigid"}, "checks": []}}

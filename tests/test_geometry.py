@@ -47,6 +47,36 @@ def lerp_sample_oracle(field, p):
     return out
 
 
+def fancy_index_trilinear_oracle(field, pts):
+    """Trilinear sampling by 3-array fancy indexing, one gather per corner.
+
+    Same corner order, weights and float64 accumulation as the library, so
+    the two must agree bit for bit.
+    """
+    scalar = field.ndim == 3
+    data = field[..., None] if scalar else field
+    shape = data.shape[:3]
+    idx0, idx1, frac = [], [], []
+    for ax in range(3):
+        n = shape[ax]
+        x = np.clip(pts[:, ax], 0.0, n - 1.0)
+        if n == 1:
+            i0 = np.zeros(len(x), dtype=np.intp)
+        else:
+            i0 = np.minimum(np.floor(x).astype(np.intp), n - 2)
+        idx0.append(i0)
+        idx1.append(np.minimum(i0 + 1, n - 1))
+        frac.append((x - i0).astype(np.float64))
+    tx, ty, tz = frac
+    out = np.zeros((len(pts), data.shape[3]), dtype=np.float64)
+    for cx, wx in ((idx0[0], 1.0 - tx), (idx1[0], tx)):
+        for cy, wy in ((idx0[1], 1.0 - ty), (idx1[1], ty)):
+            wxy = wx * wy
+            for cz, wz in ((idx0[2], 1.0 - tz), (idx1[2], tz)):
+                out += (wxy * wz)[:, None] * data[cx, cy, cz]
+    return out[:, 0] if scalar else out
+
+
 def affine_compose_oracle(ao, bo, ai, bi):
     """(A_o, b_o) o (A_i, b_i) by hand: x -> A_o A_i x + A_o b_i + b_o."""
     return ao @ ai, ao @ bi + bo
@@ -118,6 +148,23 @@ def test_dense_sampling_exact_at_voxel_centers():
     assert np.max(np.abs(t.apply(g) - g - disp.reshape(-1, 3))) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [None, 3, 4])
+@pytest.mark.parametrize("shape", [(5, 6, 7), (4, 1, 6)])
+def test_trilinear_sample_bitwise_matches_fancy_index_oracle(shape, channels, dtype):
+    rng = np.random.default_rng(11)
+    field = rng.standard_normal(shape + ((channels,) if channels else ())).astype(dtype)
+    # Points inside, outside the domain on every side, and at exact voxel
+    # coordinates (integers, including the last index of each axis).
+    pts = rng.uniform(-2.0, 9.0, size=(300, 3))
+    pts[:60] = rng.integers(0, shape, size=(60, 3))
+    pts[60] = np.asarray(shape) - 1.0
+    got = trilinear_sample(field, pts)
+    want = fancy_index_trilinear_oracle(field, pts)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_dense_identity_is_identity():
     t = DenseTransform.identity((3, 4, 5))
     g = grid_points((3, 4, 5)).reshape(-1, 3)
@@ -147,6 +194,18 @@ def test_affine_apply_matches_matrix_arithmetic():
     want = pts @ t.matrix.T + t.offset
     assert np.max(np.abs(t.apply(pts) - want)) < 1e-12
     assert np.array_equal(jacobian_at(t, pts[0]), t.matrix)
+
+
+@pytest.mark.parametrize("pts_shape", [(3,), (1, 3), (50, 3)])
+def test_affine_apply_point_shapes(pts_shape):
+    rng = np.random.default_rng(12)
+    t = small_affine(rng)
+    pts = rng.standard_normal(pts_shape)
+    got = t.apply(pts)
+    want = pts @ t.matrix.T + t.offset
+    assert got.shape == pts_shape
+    # Only the summation order of a 3-term dot product may differ.
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
 
 
 def test_center_fixed_fixes_center():

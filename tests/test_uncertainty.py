@@ -136,6 +136,24 @@ def test_backend_failure_reports_sample_index():
         estimate_uncertainty(Failing(levels=1, iters=2, step=0.5), src, src, spec)
 
 
+def test_backend_failure_with_multi_argument_exception_reports_sample_index():
+    class TwoArgError(Exception):
+        def __init__(self, code, detail):
+            super().__init__(code, detail)
+
+    class Failing(OracleBackend):
+        def register(self, source, target, perturbation=None, nonce=0):
+            if nonce == 2:
+                raise TwoArgError(7, "synthetic failure")
+            return super().register(source, target, perturbation, nonce)
+
+    shape = (6, 6, 6)
+    with pytest.raises(RuntimeError, match="sample 2") as info:
+        estimate_uncertainty(Failing(PHI, ErrorModel()), blank(shape), blank(shape),
+                             spec_for("translation", shape, count=4))
+    assert isinstance(info.value.__cause__, TwoArgError)
+
+
 def test_threads_validation():
     shape = (6, 6, 6)
     with pytest.raises(ValueError, match="threads"):
