@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -39,7 +40,17 @@ from .register import (
     demons_register,
 )
 from .uncertainty import decompose_cov, estimate_uncertainty, verify_lemma
-from .volume import RoiMask, Volume3, VolumeFormatError, make_phantom, read_nifti, read_volume, warp, write_volume
+from .volume import (
+    RoiMask,
+    Volume3,
+    VolumeFormatError,
+    make_phantom,
+    read_nifti,
+    read_volume,
+    warp,
+    write_atomic,
+    write_volume,
+)
 
 __all__ = ["main", "ConfigError"]
 
@@ -85,9 +96,16 @@ def _sanitize(obj):
 
 
 def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(_sanitize(obj), f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+    text = json.dumps(_sanitize(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    write_atomic(path, text.encode("utf-8"))
+
+
+def _write_csv(path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def _shape_from(cfg: dict) -> tuple[int, int, int]:
@@ -287,10 +305,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
         write_volume(out_dir / "intrinsic.rcv", Volume3(dec.intrinsic.astype(np.float32)))
         write_volume(out_dir / "jitter.rcv", Volume3(dec.jitter.astype(np.float32)))
     if log_rows is not None:
-        with open(out_dir / "solver_log.csv", "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(log_rows[0])
-            writer.writerows(log_rows[1:])
+        _write_csv(out_dir / "solver_log.csv", log_rows[0], log_rows[1:])
     _write_json(
         out_dir / "estimate.json",
         {
@@ -346,18 +361,13 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
     }
     write_volume(out_dir / "error.rcv", Volume3(err.values.astype(np.float32)))
     _write_json(out_dir / "metrics.json", metrics)
-    with open(out_dir / "risk_coverage.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(("coverage", "risk", "bin_mean_uncertainty"))
-        for cv, rk, bu in zip(curve.coverage, curve.risk, curve.bin_mean_uncertainty):
-            writer.writerow((repr(float(cv)), repr(float(rk)), repr(float(bu))))
-    with open(out_dir / "risk_coverage_binned.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(("coverage", "risk", "bin_mean_uncertainty"))
-        for row in bin_curve(curve, metrics["bins"]):
-            writer.writerow(
-                (repr(row["coverage"]), repr(row["risk"]), repr(row["bin_mean_uncertainty"]))
-            )
+    header = ("coverage", "risk", "bin_mean_uncertainty")
+    points = zip(curve.coverage, curve.risk, curve.bin_mean_uncertainty)
+    _write_csv(out_dir / "risk_coverage.csv", header, ([repr(float(v)) for v in p] for p in points))
+    binned = bin_curve(curve, metrics["bins"])
+    _write_csv(
+        out_dir / "risk_coverage_binned.csv", header, ([repr(r[k]) for k in header] for r in binned)
+    )
     shown = {k: v for k, v in metrics.items() if k in ("pearson", "spearman", "naurc")}
     print(f"metrics: {_sanitize(shown)}")
     return 0

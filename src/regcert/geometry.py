@@ -215,12 +215,28 @@ def bspline_control_shape(domain_shape, grid_spacing: int) -> tuple[int, int, in
     return tuple(int(np.floor((s - 1) / grid_spacing)) + 4 for s in domain_shape)
 
 
+def _contract(w, block):
+    """Contract (N, 4, 48) cell rows with per-axis (4, N) weights, x then y then z.
+
+    np.einsum's own loops, not BLAS: a stacked matmul calls BLAS once per point.
+    """
+    n = block.shape[0]
+    t = np.einsum("an,nak->nk", w[0], block).reshape(n, 4, 12)
+    t = np.einsum("bn,nbk->nk", w[1], t).reshape(n, 4, 3)
+    return np.einsum("cn,nci->ni", w[2], t)
+
+
 class BSplineTransform(Transform):
     """Free-form deformation y -> y + u(y) on a cubic B-spline lattice.
 
     Control nodes sit at positions (j * h) per axis for j = -1, 0, 1, ...;
     array index a holds node j = a - 1, so one ring of nodes lies outside
     the domain on the low side and at least one on the high side.
+
+    Points are evaluated from a control table built once here: one contiguous
+    (4, 48) row per lattice cell holding its 4x4x4 nodes, components last,
+    (na-3)(nb-3)(nc-3)*192 float64 in all.  It cannot go stale: ``control``
+    is frozen.
     """
 
     def __init__(self, grid_spacing: int, control_displacements, domain_shape):
@@ -244,6 +260,8 @@ class BSplineTransform(Transform):
         self.grid_spacing = h
         self.control = _frozen(c)
         self.domain_shape = shape
+        win = np.lib.stride_tricks.sliding_window_view(self.control, (4, 4, 4), axis=(0, 1, 2))
+        self._cells = _frozen(np.moveaxis(win, 3, -1).reshape(-1, 4, 48))
 
     @classmethod
     def zeros(cls, domain_shape, grid_spacing: int):
@@ -264,32 +282,18 @@ class BSplineTransform(Transform):
             frac.append(g - i0)
         return base, frac
 
-    def _gather_block(self, base, n):
-        """The 4x4x4 control neighborhood per point, shape (N, 4, 4, 4, 3)."""
-        nb, nc = self.control.shape[1], self.control.shape[2]
-        off = np.arange(4, dtype=np.intp)
-        flat = (
-            (base[0][:, None] + off)[:, :, None, None] * (nb * nc)
-            + (base[1][:, None] + off)[:, None, :, None] * nc
-            + (base[2][:, None] + off)[:, None, None, :]
-        )
-        rows = self.control.reshape(-1, 3)
-        return rows.take(flat.reshape(n, 64), axis=0).reshape(n, 4, 4, 4, 3)
+    def _cells_at(self, pts):
+        """Each point's cell row of the control table, (N, 4, 48), and its fractions."""
+        base, frac = self._base_and_frac(pts)
+        nb, nc = self.control.shape[1] - 3, self.control.shape[2] - 3
+        return self._cells.take((base[0] * nb + base[1]) * nc + base[2], axis=0), frac
 
     def displacement(self, pts: np.ndarray) -> np.ndarray:
         """u(p) for (N, 3) points, shape (N, 3)."""
         out = np.empty((len(pts), 3), dtype=np.float64)
         for s in range(0, len(pts), self._CHUNK):
-            chunk = pts[s : s + self._CHUNK]
-            base, frac = self._base_and_frac(chunk)
-            block = self._gather_block(base, len(chunk))
-            w = np.einsum(
-                "an,bn,cn->nabc",
-                _bspline_weights(frac[0]),
-                _bspline_weights(frac[1]),
-                _bspline_weights(frac[2]),
-            )
-            out[s : s + self._CHUNK] = np.einsum("nabc,nabci->ni", w, block)
+            block, frac = self._cells_at(pts[s : s + self._CHUNK])
+            out[s : s + self._CHUNK] = _contract([_bspline_weights(f) for f in frac], block)
         return out
 
     def displacement_jacobian(self, pts: np.ndarray) -> np.ndarray:
@@ -297,16 +301,12 @@ class BSplineTransform(Transform):
         h = float(self.grid_spacing)
         out = np.empty((len(pts), 3, 3), dtype=np.float64)
         for s in range(0, len(pts), self._CHUNK):
-            chunk = pts[s : s + self._CHUNK]
-            base, frac = self._base_and_frac(chunk)
-            block = self._gather_block(base, len(chunk))
+            block, frac = self._cells_at(pts[s : s + self._CHUNK])
             w = [_bspline_weights(f) for f in frac]
             dw = [_bspline_dweights(f) / h for f in frac]
-            for ax, (wx, wy, wz) in enumerate(
-                ((dw[0], w[1], w[2]), (w[0], dw[1], w[2]), (w[0], w[1], dw[2]))
-            ):
-                wt = np.einsum("an,bn,cn->nabc", wx, wy, wz)
-                out[s : s + self._CHUNK, :, ax] = np.einsum("nabc,nabci->ni", wt, block)
+            combos = ((dw[0], w[1], w[2]), (w[0], dw[1], w[2]), (w[0], w[1], dw[2]))
+            for ax, wt in enumerate(combos):
+                out[s : s + self._CHUNK, :, ax] = _contract(wt, block)
         return out
 
     def apply(self, pts):

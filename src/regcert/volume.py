@@ -9,7 +9,9 @@ uncompressed single-file float32 images only.
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ __all__ = [
     "make_phantom",
     "read_volume",
     "write_volume",
+    "write_atomic",
     "read_nifti",
 ]
 
@@ -198,10 +201,34 @@ def write_volume(path, volume: Volume3) -> None:
         *volume.origin.tolist(),
     )
     payload = _interleave(volume.data).astype("<f4").tobytes()
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(meta)
-        f.write(payload)
+    write_atomic(path, header + meta + payload)
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` all at once: readers see the old or the new file.
+
+    The bytes go to a hidden temp file in the target's directory, which is
+    then renamed onto the target; on any error the temp file is removed and
+    the target is left as it was.
+    """
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _header_volume(path, data, spacing, origin) -> Volume3:
+    """Volume3 from a file's header fields; bad spacing or origin is a format error."""
+    try:
+        return Volume3(data, spacing=spacing, origin=origin)
+    except ValueError as exc:
+        raise VolumeFormatError(f"{path}: {exc}") from exc
 
 
 def read_volume(path) -> Volume3:
@@ -233,7 +260,7 @@ def read_volume(path) -> Volume3:
     if not np.all(np.isfinite(flat)):
         raise VolumeFormatError(f"{path}: non-finite values in payload")
     data = _deinterleave(flat, (nx, ny, nz), channels)
-    return Volume3(data, spacing=spacing, origin=origin)
+    return _header_volume(path, data, spacing, origin)
 
 
 def read_nifti(path) -> Volume3:
@@ -269,9 +296,11 @@ def read_nifti(path) -> Volume3:
     if any(s < 1 for s in shape):
         raise VolumeFormatError(f"{path}: bad image dimensions {shape}")
     pixdim = struct.unpack_from(end + "8f", raw, 76)
-    vox_offset = int(struct.unpack_from(end + "f", raw, 108)[0])
-    if vox_offset < 348:
+    vox_offset = struct.unpack_from(end + "f", raw, 108)[0]
+    # NaN fails every comparison and inf exceeds the file, so both land here.
+    if not 348 <= vox_offset <= len(raw):
         raise VolumeFormatError(f"{path}: bad vox_offset {vox_offset}")
+    vox_offset = int(vox_offset)
     qoffset = struct.unpack_from(end + "3f", raw, 268)
     count = int(np.prod(shape))
     payload = raw[vox_offset : vox_offset + 4 * count]
@@ -282,4 +311,4 @@ def read_nifti(path) -> Volume3:
         raise VolumeFormatError(f"{path}: non-finite values in payload")
     data = flat.astype(np.float32).reshape(shape, order="F")
     spacing = [p if p > 0 else 1.0 for p in pixdim[1:4]]
-    return Volume3(data, spacing=spacing, origin=qoffset)
+    return _header_volume(path, data, spacing, qoffset)

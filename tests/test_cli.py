@@ -476,6 +476,43 @@ def test_corrupted_volume_exits_three(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
+def test_corrupt_volume_spacing_exits_three(tmp_path, capsys):
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    raw = bytearray((out / "target.rcv").read_bytes())
+    struct.pack_into("<d", raw, 32, 0.0)  # x spacing
+    (out / "target.rcv").write_bytes(bytes(raw))
+    cfg = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
+    rc = main(["estimate", "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err
+    assert "target.rcv" in err
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda p, k: write_volume(p, Volume3(np.full((2, 2, 2), float(k)))),
+        lambda p, k: cli._write_json(p, {"k": k}),
+        lambda p, k: cli._write_csv(p, ("k",), [(k,)]),
+    ],
+    ids=["rcv", "json", "csv"],
+)
+def test_artifact_write_failure_keeps_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    write(path, 1)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write(path, 2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
 def test_compressed_nifti_import_exits_three(tmp_path, capsys):
     gz = tmp_path / "head.nii.gz"
     gz.write_bytes(gzip.compress(b"\x00" * 400))

@@ -26,6 +26,7 @@ from regcert.geometry import (
     jacobian_at,
     trilinear_sample,
 )
+from regcert.geometry import _bspline_dweights, _bspline_weights
 
 
 def lerp_sample_oracle(field, p):
@@ -307,6 +308,81 @@ def test_bspline_jacobian_matches_finite_differences():
     jac = t.jacobian(pts)
     for p, j in zip(pts, jac):
         assert np.max(np.abs(j - fd_jacobian_oracle(t, p))) < 1e-4
+
+
+def bspline_reference(t, pts, deriv_axis=None):
+    """The earlier B-spline evaluation: a 64-node gather per point and two full einsums.
+
+    Returns u at the points, or the column of Du for ``deriv_axis``.
+    """
+    base, frac = t._base_and_frac(pts)
+    nb, nc = t.control.shape[1], t.control.shape[2]
+    off = np.arange(4)
+    flat = (
+        (base[0][:, None] + off)[:, :, None, None] * (nb * nc)
+        + (base[1][:, None] + off)[:, None, :, None] * nc
+        + (base[2][:, None] + off)[:, None, None, :]
+    )
+    block = t.control.reshape(-1, 3)[flat.reshape(len(pts), 64)].reshape(len(pts), 4, 4, 4, 3)
+    w = [_bspline_weights(f) for f in frac]
+    if deriv_axis is not None:
+        w[deriv_axis] = _bspline_dweights(frac[deriv_axis]) / t.grid_spacing
+    wt = np.einsum("an,bn,cn->nabc", *w)
+    return np.einsum("nabc,nabci->ni", wt, block)
+
+
+def _bspline_probe_points(shape, h, rng):
+    """Interior points, knots, the far domain edge, and points outside every side."""
+    hi = np.array(shape, dtype=np.float64) - 1.0
+    inside = rng.uniform(0.0, hi, size=(200, 3))
+    knots = np.stack(np.meshgrid(*[np.arange(0.0, n, h) for n in shape], indexing="ij"), -1)
+    edge = rng.uniform(0.0, hi, size=(3, 3))
+    edge[np.arange(3), np.arange(3)] = hi
+    corner = hi[None, :]
+    outside = []
+    for ax in range(3):
+        for v in (-3.7, -0.5, hi[ax] + 0.5, hi[ax] + 6.2):
+            p = rng.uniform(0.0, hi, size=3)
+            p[ax] = v
+            outside.append(p)
+    return np.concatenate([inside, knots.reshape(-1, 3), edge, corner, outside])
+
+
+BSPLINE_LATTICES = {
+    # Anisotropic: a swapped y/z cell stride changes the answer.
+    "anisotropic": ((12, 23, 37), 5, (0, 0, 0)),
+    # Control grid larger than bspline_control_shape on every axis.
+    "oversized": ((14, 11, 17), 4, (2, 1, 3)),
+}
+
+
+def _bspline_case(lattice, seed):
+    shape, h, extra = BSPLINE_LATTICES[lattice]
+    rng = np.random.default_rng(seed)
+    cshape = tuple(n + e for n, e in zip(bspline_control_shape(shape, h), extra))
+    t = BSplineTransform(h, rng.uniform(-3.0, 3.0, size=cshape + (3,)), shape)
+    return t, _bspline_probe_points(shape, h, rng)
+
+
+@pytest.mark.parametrize("lattice", sorted(BSPLINE_LATTICES))
+def test_bspline_matches_64_node_reference(lattice):
+    t, pts = _bspline_case(lattice, 14)
+    # float64 rounding over 64 terms of size <= max|control|.
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(t.control))))
+    assert np.max(np.abs(t.displacement(pts) - bspline_reference(t, pts))) <= tol
+    jac = t.displacement_jacobian(pts)
+    for ax in range(3):
+        assert np.max(np.abs(jac[:, :, ax] - bspline_reference(t, pts, ax))) <= tol
+
+
+@pytest.mark.parametrize("lattice", sorted(BSPLINE_LATTICES))
+def test_bspline_chunking_is_bitwise_invisible(lattice, monkeypatch):
+    t, pts = _bspline_case(lattice, 15)
+    whole = (t.displacement(pts), t.displacement_jacobian(pts))
+    monkeypatch.setattr(BSplineTransform, "_CHUNK", 7)
+    chunked = (t.displacement(pts), t.displacement_jacobian(pts))
+    for a, b in zip(whole, chunked):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_bspline_spacing_validation():

@@ -260,6 +260,23 @@ def test_rcv_truncated_header_rejected(tmp_path):
         read_volume(p)
 
 
+@pytest.mark.parametrize(
+    "offset, value, what",
+    [(32, 0.0, "spacing"), (40, -1.0, "spacing"), (56, np.nan, "origin"), (72, np.inf, "origin")],
+)
+def test_rcv_bad_header_metadata_is_format_error(tmp_path, offset, value, what):
+    # Spacing sits at bytes 32-55 and origin at 56-79; a corrupt value must be
+    # reported as a format error that names the file, not as a ValueError.
+    p = tmp_path / "v.rcv"
+    write_volume(p, Volume3(np.zeros((2, 2, 2))))
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<d", raw, offset, value)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(VolumeFormatError, match=what) as info:
+        read_volume(p)
+    assert str(p) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # NIfTI-1 import
 
@@ -306,3 +323,18 @@ def test_nifti_garbage_rejected(tmp_path):
     p.write_bytes(b"\x00" * 400)
     with pytest.raises(VolumeFormatError, match="not a NIfTI-1"):
         read_nifti(p)
+
+
+@pytest.mark.parametrize(
+    "offset, value, what",
+    [(108, np.nan, "vox_offset"), (108, np.inf, "vox_offset"), (268, np.nan, "origin")],
+)
+def test_nifti_bad_header_metadata_is_format_error(tmp_path, offset, value, what):
+    p = tmp_path / "v.nii"
+    write_minimal_nifti(p, np.zeros((4, 4, 4), dtype=np.float32))
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<f", raw, offset, value)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(VolumeFormatError, match=what) as info:
+        read_nifti(p)
+    assert str(p) in str(info.value)
