@@ -2,9 +2,12 @@
 """Run the full pipeline (simulate -> estimate -> evaluate) from one config.
 
 Convenience driver around the ``regcert`` subcommands: one JSON config, one
-output directory, one summary line per stage.  Example:
+output directory, one summary line per stage.  The config holds the keys
+of all three stages, for example ``{"shape": [32, 32, 32], "seed": 1,
+"perturb": {"family": "translation", "count": 20}, "backend": {"kind":
+"affine_ssd"}}`` saved as demo.json:
 
-    python3 scripts/run_pipeline.py --config configs/demo.json --out /tmp/demo
+    python3 scripts/run_pipeline.py --config demo.json --out demo_out
 """
 
 import argparse

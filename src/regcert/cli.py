@@ -70,11 +70,29 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _objects(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what}s must be a list, got {value!r}")
+    return [_object(v, f"each {what}") for v in value]
+
+
 def _section(cfg: dict, name: str) -> dict:
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return sec
+    return _object(cfg.get(name, {}), f"config section {name!r}")
+
+
+def _number(sec: dict, key: str, default, kind=int):
+    """sec[key] (or the default) converted by kind; a bad value is a config error."""
+    value = sec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from exc
 
 
 def _sanitize(obj):
@@ -108,13 +126,16 @@ def _write_csv(path, header, rows) -> None:
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
-def _shape_from(cfg: dict) -> tuple[int, int, int]:
-    shape = cfg.get("shape")
+def _shape(shape, key: str) -> tuple[int, int, int]:
     if shape is None:
-        raise ConfigError("config needs a 'shape' entry [nx, ny, nz]")
-    if not (isinstance(shape, list) and len(shape) == 3):
-        raise ConfigError(f"'shape' must be a 3-element list, got {shape!r}")
-    return tuple(int(s) for s in shape)
+        raise ConfigError(f"config needs a {key!r} entry [nx, ny, nz]")
+    try:
+        dims = tuple(int(s) for s in shape) if isinstance(shape, list) else ()
+    except (TypeError, ValueError):
+        dims = ()
+    if len(dims) != 3 or min(dims) < 1:
+        raise ConfigError(f"{key!r} must be a list of 3 positive integers, got {shape!r}")
+    return dims
 
 
 def _build_perturb_spec(cfg: dict, shape, seed: int) -> PerturbSpec:
@@ -193,14 +214,14 @@ def _build_backend(cfg: dict, out_dir: Path, seed: int):
     kind = sec.get("kind", "affine_ssd")
     if kind == "affine_ssd":
         backend = AffineSsdBackend(
-            levels=int(sec.get("levels", 3)),
-            iters=int(sec.get("iters", 80)),
-            step=float(sec.get("step", 0.5)),
+            levels=_number(sec, "levels", 3),
+            iters=_number(sec, "iters", 80),
+            step=_number(sec, "step", 0.5, float),
         )
     elif kind == "demons":
         backend = DemonsBackend(
-            iters=int(sec.get("iters", 60)),
-            smooth_sigma=float(sec.get("smooth_sigma", 1.0)),
+            iters=_number(sec, "iters", 60),
+            smooth_sigma=_number(sec, "smooth_sigma", 1.0, float),
         )
     elif kind == "oracle":
         gt_path = out_dir / "gt.rcv"
@@ -261,9 +282,9 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
         source = read_nifti(nifti_path)
         shape = source.shape
     else:
-        shape = _shape_from(cfg)
+        shape = _shape(cfg.get("shape"), "shape")
         sec = _section(cfg, "phantom")
-        source = make_phantom(shape, sec.get("kind", "blobs"), seed=int(sec.get("seed", seed)))
+        source = make_phantom(shape, sec.get("kind", "blobs"), seed=_number(sec, "seed", seed))
     gt_spec = _build_gt_spec(cfg, seed)
     gt, info = simulate_gt_with_info(gt_spec, shape)
     target = warp(source, gt)
@@ -357,7 +378,7 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
         "random_aurc": curve.random_aurc,
         "naurc": curve.naurc,
         "mask_voxels": curve.n_voxels,
-        "bins": int(_section(cfg, "evaluate").get("bins", 20)),
+        "bins": _number(_section(cfg, "evaluate"), "bins", 20),
     }
     write_volume(out_dir / "error.rcv", Volume3(err.values.astype(np.float32)))
     _write_json(out_dir / "metrics.json", metrics)
@@ -375,28 +396,29 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
 
 def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
     sec = _section(cfg, "lemma")
-    grid = tuple(int(s) for s in sec.get("grid", (16, 16, 16)))
-    n_mc = int(sec.get("n_mc", 2000))
+    grid = _shape(sec.get("grid", [16, 16, 16]), "grid")
+    n_mc = _number(sec, "n_mc", 2000)
     phi = _phi_from(sec, grid)
     checks = sec.get("checks")
     if checks is None:
         checks = [{"kind": "translation"}, {"kind": "affine"}]
     reports = []
     all_ok = True
-    for chk in checks:
+    for chk in _objects(checks, "lemma check"):
         if "kind" not in chk:
             raise ConfigError("each lemma check needs a 'kind'")
-        model = _build_error_model(chk.get("model", {"mu": [0.5, 0.0, 0.0], "sigma": 0.5}), seed)
+        model_sec = chk.get("model", {"mu": [0.5, 0.0, 0.0], "sigma": 0.5})
+        model = _build_error_model(_object(model_sec, "lemma check 'model'"), seed)
         rep = verify_lemma(
             chk["kind"],
             model,
             phi,
             grid,
-            n_mc=int(chk.get("n_mc", n_mc)),
-            seed=int(chk.get("seed", seed)),
-            strength=float(chk.get("strength", 0.08)),
-            grid_spacing=int(chk.get("grid_spacing", 10)),
-            node_max=float(chk.get("node_max", 12.5)),
+            n_mc=_number(chk, "n_mc", n_mc),
+            seed=_number(chk, "seed", seed),
+            strength=_number(chk, "strength", 0.08, float),
+            grid_spacing=_number(chk, "grid_spacing", 10),
+            node_max=_number(chk, "node_max", 12.5, float),
         )
         reports.append(rep.to_dict())
         status = "PASS" if rep.passed else "FAIL"
@@ -406,9 +428,9 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
         )
         all_ok = all_ok and rep.passed
     mse_reports = []
-    for case in sec.get("mse", []):
-        model = _build_error_model(case.get("model", {}), seed)
-        draws = int(case.get("draws", 2000))
+    for case in _objects(sec.get("mse", []), "lemma mse case"):
+        model = _build_error_model(_object(case.get("model", {}), "mse case 'model'"), seed)
+        draws = _number(case, "draws", 2000)
         oracle = OracleBackend(phi, model)
         rep = mse_decomposition_check(oracle, draws, grid)
         band = 3.0 * rep.chi2_rel_std if math.isfinite(rep.chi2_rel_std) else 0.05
@@ -430,16 +452,19 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def _phi_from(sec: dict, grid) -> Transform:
-    phi = sec.get("phi", {"kind": "translation", "offset": [1.5, -0.75, 0.5]})
+    phi = _object(sec.get("phi", {"kind": "translation", "offset": [1.5, -0.75, 0.5]}), "'phi'")
     kind = phi.get("kind", "translation")
-    if kind == "identity":
-        return TranslationTransform((0.0, 0.0, 0.0))
-    if kind == "translation":
-        return TranslationTransform(phi.get("offset", [1.5, -0.75, 0.5]))
-    if kind == "affine":
-        if "matrix" not in phi:
-            raise ConfigError("affine phi needs a 'matrix'")
-        return AffineTransform(phi["matrix"], phi.get("offset", [0.0, 0.0, 0.0]))
+    if kind == "affine" and "matrix" not in phi:
+        raise ConfigError("affine phi needs a 'matrix'")
+    try:
+        if kind == "identity":
+            return TranslationTransform((0.0, 0.0, 0.0))
+        if kind == "translation":
+            return TranslationTransform(phi.get("offset", [1.5, -0.75, 0.5]))
+        if kind == "affine":
+            return AffineTransform(phi["matrix"], phi.get("offset", [0.0, 0.0, 0.0]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad 'phi': {exc}") from exc
     raise ConfigError(f"unknown phi kind {kind!r}")
 
 
@@ -474,11 +499,11 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _number(cfg, "seed", 0)
         if args.command == "simulate-pair":
             return cmd_simulate_pair(cfg, out_dir, seed, nifti_path=args.import_nifti)
         if args.command == "estimate":
-            threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
+            threads = args.threads if args.threads is not None else _number(cfg, "threads", 1)
             if threads < 1:
                 raise ConfigError("threads must be >= 1")
             return cmd_estimate(cfg, out_dir, seed, threads)

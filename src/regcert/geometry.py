@@ -477,13 +477,6 @@ def invert_at(
     return z + v, residual, iterations
 
 
-def _fixed_point_inverse(t: Transform, shape, tol: float, max_iter: int):
-    grid = grid_points(shape).reshape(-1, 3)
-    positions, residual, iterations = invert_at(t, grid, tol, max_iter, strict=False)
-    inv = DenseTransform((positions - grid).reshape(tuple(shape) + (3,)))
-    return inv, residual, iterations
-
-
 def invert(t: Transform, tol: float = 1e-3, max_iter: int = 50) -> InversionResult:
     """Invert a transform.
 
@@ -500,12 +493,9 @@ def invert(t: Transform, tol: float = 1e-3, max_iter: int = 50) -> InversionResu
         a_inv = np.linalg.inv(t.matrix)
         return InversionResult(AffineTransform(a_inv, -a_inv @ t.offset), 0.0, 0)
     shape = _domain_shape_of(t)
-    inv, residual, iterations = _fixed_point_inverse(t, shape, tol, max_iter)
-    if residual > 10.0 * tol:
-        raise ConvergenceError(
-            f"inversion failed: residual {residual:.3g} exceeds {10.0 * tol:.3g} "
-            f"after {iterations} iterations"
-        )
+    grid = grid_points(shape).reshape(-1, 3)
+    positions, residual, iterations = invert_at(t, grid, tol, max_iter)
+    inv = DenseTransform((positions - grid).reshape(tuple(shape) + (3,)))
     return InversionResult(inv, residual, iterations)
 
 

@@ -155,6 +155,15 @@ class ErrorModel:
             raise ValueError(f"sigma scale function returned {scale} < 0")
         return self._factor * np.sqrt(scale)
 
+    def sample(self, tau: Transform, pts: np.ndarray, nonce: int) -> np.ndarray:
+        """One residual draw eps(tau; pts), shape (N, 3), from the stream (seed, nonce)."""
+        eps = self.mean(tau, pts)
+        factor = self.factor(tau)
+        if np.any(factor):
+            rng = np.random.default_rng([self.seed, _TAG_ORACLE, int(nonce)])
+            eps = eps + rng.standard_normal((len(pts), 3)) @ factor.T
+        return eps
+
 
 class RegistrationBackend:
     """Maps a source/target pair to a dense target-to-source transform."""
@@ -187,14 +196,10 @@ class OracleBackend(RegistrationBackend):
         true_transform: Transform,
         error_model: ErrorModel,
         lenient_inversion: bool = False,
-        invert_tol: float = 1e-3,
-        invert_max_iter: int = 50,
     ):
         self.true_transform = true_transform
         self.error_model = error_model
         self.lenient_inversion = bool(lenient_inversion)
-        self.invert_tol = float(invert_tol)
-        self.invert_max_iter = int(invert_max_iter)
 
     def inverse_positions(self, tau: Transform, pts: np.ndarray) -> tuple[np.ndarray, float]:
         """tau^-1 evaluated at the given points, with the round-trip residual.
@@ -205,13 +210,7 @@ class OracleBackend(RegistrationBackend):
         """
         if isinstance(tau, (TranslationTransform, AffineTransform)):
             return invert(tau).transform.apply(pts), 0.0
-        positions, residual, _ = invert_at(
-            tau,
-            pts,
-            tol=self.invert_tol,
-            max_iter=self.invert_max_iter,
-            strict=not self.lenient_inversion,
-        )
+        positions, residual, _ = invert_at(tau, pts, strict=not self.lenient_inversion)
         return positions, residual
 
     def register(self, source, target, perturbation=None, nonce=0):
@@ -223,11 +222,7 @@ class OracleBackend(RegistrationBackend):
         else:
             positions, _ = self.inverse_positions(perturbation, self.true_transform.apply(grid))
             tau_eff = perturbation
-        eps = self.error_model.mean(tau_eff, grid)
-        factor = self.error_model.factor(tau_eff)
-        if np.any(factor):
-            rng = np.random.default_rng([self.error_model.seed, _TAG_ORACLE, int(nonce)])
-            eps = eps + rng.standard_normal((len(grid), 3)) @ factor.T
+        eps = self.error_model.sample(tau_eff, grid, nonce)
         return DenseTransform((positions + eps - grid).reshape(shape + (3,)))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import DenseTransform, Transform, grid_points
 from .perturb import PerturbSpec, sample_perturbation
-from .register import _TAG_ORACLE, ErrorModel, OracleBackend, RegistrationBackend
+from .register import ErrorModel, OracleBackend, RegistrationBackend
 from .volume import Volume3, make_phantom, warp
 
 __all__ = [
@@ -62,6 +62,32 @@ def _outer_tri(vecs: np.ndarray) -> np.ndarray:
     for k, (i, j) in enumerate(_TRI):
         out[:, k] = vecs[:, i] * vecs[:, j]
     return out
+
+
+class _Moments:
+    """Shifted-sum per-voxel mean and covariance of (V, 3) samples, in add order."""
+
+    def __init__(self):
+        self.n = 0
+        self.ref = None
+
+    def add(self, x: np.ndarray) -> None:
+        if self.ref is None:
+            # Center on the first sample so the sums carry perturbation-sized
+            # numbers, not absolute coordinates.
+            self.ref = x
+            self.s1 = np.zeros_like(x)
+            self.s2 = np.zeros((len(x), 6), dtype=np.float64)
+        c = x - self.ref
+        self.s1 += c
+        self.s2 += _outer_tri(c)
+        self.n += 1
+
+    def finalize(self, divisor) -> tuple[np.ndarray, np.ndarray]:
+        """(mean (V, 3), covariance (V, 6)) with the given covariance divisor."""
+        mean_c = self.s1 / self.n
+        cov = self.s2 / divisor - (self.n / divisor) * _outer_tri(mean_c)
+        return self.ref + mean_c, cov
 
 
 @dataclass
@@ -122,26 +148,10 @@ def estimate_uncertainty(
         raise ValueError("threads must be >= 1")
     t0 = time.perf_counter()
     n_total = spec.count
-    shape = None
-    ref = None
-    s1 = None
-    s2 = None
-
-    def reduce_one(g: np.ndarray):
-        nonlocal shape, ref, s1, s2
-        if ref is None:
-            ref = g
-            s1 = np.zeros_like(g)
-            s2 = np.zeros((len(g), 6), dtype=np.float64)
-        # Center on the first sample so the sums carry perturbation-sized
-        # numbers, not absolute coordinates.
-        c = g - ref
-        s1 += c
-        s2 += _outer_tri(c)
-
+    moments = _Moments()
     if threads == 1:
         for n in range(n_total):
-            reduce_one(_one_sample(backend, source, target, spec, n))
+            moments.add(_one_sample(backend, source, target, spec, n))
     else:
         chunk = max(4 * threads, 8)
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -152,15 +162,13 @@ def estimate_uncertainty(
                     for n in idx
                 ]
                 for f in futures:
-                    reduce_one(f.result())
+                    moments.add(f.result())
 
     shape = target.shape
-    mean_c = s1 / n_total
     denom = n_total - 1 if unbiased else n_total
     if unbiased and n_total < 2:
         raise ValueError("unbiased covariance needs at least 2 samples")
-    cov = s2 / denom - (n_total / denom) * _outer_tri(mean_c)
-    mean_pos = ref + mean_c
+    mean_pos, cov = moments.finalize(denom)
     grid = grid_points(shape).reshape(-1, 3)
     mean_field = DenseTransform((mean_pos - grid).reshape(shape + (3,)))
     trace = cov[:, _TRACE_IDX].sum(axis=1)
@@ -214,9 +222,7 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
     n_vox = len(grid)
     phi_pos = backend.true_transform.apply(grid)
     intr = np.zeros((n_vox, 6), dtype=np.float64)
-    sw = np.zeros((n_vox, 3), dtype=np.float64)
-    sw2 = np.zeros((n_vox, 6), dtype=np.float64)
-    ref = None
+    jitter = _Moments()
     max_residual = 0.0
     for m in range(m_samples):
         tau = sample_perturbation(spec, m)
@@ -229,18 +235,11 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
             full = np.einsum("nik,njk->nij", js, jac)
             for k, (i, j) in enumerate(_TRI):
                 intr[:, k] += full[:, i, j]
-        w = np.einsum("nij,nj->ni", jac, backend.error_model.mean(tau, grid))
-        if ref is None:
-            ref = w
-        c = w - ref
-        sw += c
-        sw2 += _outer_tri(c)
+        jitter.add(np.einsum("nij,nj->ni", jac, backend.error_model.mean(tau, grid)))
     intr /= m_samples
-    mean_c = sw / m_samples
-    jitter = sw2 / m_samples - _outer_tri(mean_c)
     return CovDecomposition(
         intrinsic=intr.reshape(shape + (6,)),
-        jitter=jitter.reshape(shape + (6,)),
+        jitter=jitter.finalize(m_samples)[1].reshape(shape + (6,)),
         n_samples=m_samples,
         max_inversion_residual=max_residual,
     )
@@ -341,30 +340,15 @@ def _linearized_cov(backend: OracleBackend, spec: PerturbSpec) -> tuple[np.ndarr
     shape = spec.shape
     grid = grid_points(shape).reshape(-1, 3)
     phi_pos = backend.true_transform.apply(grid)
-    model = backend.error_model
-    n_vox = len(grid)
-    sw = np.zeros((n_vox, 3), dtype=np.float64)
-    sw2 = np.zeros((n_vox, 6), dtype=np.float64)
-    ref = None
+    moments = _Moments()
     max_residual = 0.0
     for m in range(spec.count):
         tau = sample_perturbation(spec, m)
         v, residual = backend.inverse_positions(tau, phi_pos)
         max_residual = max(max_residual, residual)
-        eps = model.mean(tau, grid)
-        factor = model.factor(tau)
-        if np.any(factor):
-            rng = np.random.default_rng([model.seed, _TAG_ORACLE, m])
-            eps = eps + rng.standard_normal((n_vox, 3)) @ factor.T
-        h = np.einsum("nij,nj->ni", tau.jacobian(v), eps)
-        if ref is None:
-            ref = h
-        c = h - ref
-        sw += c
-        sw2 += _outer_tri(c)
-    mean_c = sw / spec.count
-    cov = sw2 / spec.count - _outer_tri(mean_c)
-    return cov.reshape(shape + (6,)), max_residual
+        eps = backend.error_model.sample(tau, grid, m)
+        moments.add(np.einsum("nij,nj->ni", tau.jacobian(v), eps))
+    return moments.finalize(spec.count)[1].reshape(shape + (6,)), max_residual
 
 
 def verify_lemma(

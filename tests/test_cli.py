@@ -433,6 +433,28 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
     assert "needs a 'kind'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("lemma-check", {"seed": "x", "lemma": {"grid": [6, 6, 6], "checks": []}}),
+        ("lemma-check", {"lemma": {"grid": [6, 6], "checks": []}}),
+        ("lemma-check", {"lemma": {"grid": [6, 6, 6], "checks": [], "mse": [3]}}),
+        ("lemma-check", {"lemma": {"phi": "translation", "checks": []}}),
+        ("lemma-check", {"lemma": {"grid": [6, 6, 6], "checks": ["kind"]}}),
+        ("lemma-check", {"lemma": {"checks": [{"kind": "translation", "n_mc": "many"}]}}),
+        ("simulate-pair", {"shape": [8, 8, 8], "phantom": {"seed": "x"}}),
+    ],
+    ids=["seed", "grid", "mse-entry", "phi", "check-entry", "n_mc", "phantom-seed"],
+)
+def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg):
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    rc = main([command, "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error")
+    assert "Traceback" not in err
+
+
 def test_affine_phi_without_matrix_exits_one(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path, "lemma.json", {"lemma": {"phi": {"kind": "affine"}, "checks": []}}

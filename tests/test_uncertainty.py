@@ -24,7 +24,7 @@ from regcert.uncertainty import (
     tri_to_matrices,
     verify_lemma,
 )
-from regcert.uncertainty import _linearized_cov
+from regcert.uncertainty import _linearized_cov, _Moments
 from regcert.volume import Volume3, make_phantom, warp
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
@@ -52,6 +52,55 @@ def test_tri_to_matrices_round_trip():
 
 # ---------------------------------------------------------------------------
 # estimator determinism and reductions
+
+
+def _two_pass(draws, divisor):
+    """Float64 two-pass reference: (mean (V, 3), covariance (V, 3, 3))."""
+    mean = draws.mean(axis=0)
+    c = draws - mean
+    return mean, np.einsum("nvi,nvj->vij", c, c) / divisor
+
+
+def _moments_of(draws):
+    acc = _Moments()
+    for x in draws:
+        acc.add(x)
+    return acc
+
+
+def test_moments_match_two_pass_reference_far_from_origin():
+    # A common offset of 1e6 with a spread of 1e-3: the raw second moment
+    # loses the spread entirely unless the sums are centred.
+    rng = np.random.default_rng(11)
+    draws = 1e6 + 1e-3 * rng.standard_normal((40, 64, 3))
+    mean, cov = _moments_of(draws).finalize(len(draws))
+    ref_mean, ref_cov = _two_pass(draws, len(draws))
+    np.testing.assert_allclose(mean - 1e6, ref_mean - 1e6, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(tri_to_matrices(cov), ref_cov, rtol=1e-9, atol=1e-18)
+    # The same check rejects an accumulator that does not centre.
+    raw = np.einsum("nvi,nvj->vij", draws, draws) / len(draws)
+    uncentred = raw - np.einsum("vi,vj->vij", ref_mean, ref_mean)
+    assert not np.allclose(uncentred, ref_cov, rtol=1e-9, atol=1e-18)
+
+
+def test_moments_divisor_n_and_n_minus_one():
+    rng = np.random.default_rng(12)
+    draws = 5.0 + rng.standard_normal((25, 16, 3))
+    acc = _moments_of(draws)
+    n = len(draws)
+    mean_n, cov_n = acc.finalize(n)
+    mean_u, cov_u = acc.finalize(n - 1)
+    np.testing.assert_array_equal(mean_n, mean_u)
+    np.testing.assert_allclose(tri_to_matrices(cov_n), _two_pass(draws, n)[1], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(tri_to_matrices(cov_u), _two_pass(draws, n - 1)[1], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(cov_u, cov_n * n / (n - 1), rtol=1e-12, atol=1e-14)
+
+
+def test_moments_single_sample_has_zero_covariance():
+    x = np.random.default_rng(13).standard_normal((10, 3)) + 3.0
+    mean, cov = _moments_of([x]).finalize(1)
+    np.testing.assert_array_equal(mean, x)
+    np.testing.assert_array_equal(cov, np.zeros((10, 6)))
 
 
 def test_estimate_bitwise_deterministic_and_thread_invariant():
