@@ -37,6 +37,7 @@ from .register import (
     DemonsBackend,
     ErrorModel,
     OracleBackend,
+    Registration,
     RegistrationBackend,
     affine_ssd_register,
     demons_register,

@@ -1,11 +1,13 @@
 """Command-line pipeline: simulate-pair, estimate, evaluate, lemma-check.
 
-One JSON config drives all commands; defaults bake in the standard
-perturbation and ground-truth magnitudes and every resolved value is echoed
-into the output metadata, so runs are self-describing.  Outputs land in a
-flat directory under fixed names (source.rcv, target.rcv, gt.rcv, u.rcv,
-cov.rcv, mean.rcv, pred.rcv, metrics.json, risk_coverage.csv).  Exit codes:
-0 success, 1 config error, 2 numeric failure, 3 I/O error.
+One JSON config drives all commands; a section's unset keys keep the
+defaults of the object it configures (PerturbSpec, GtSpec, the backends),
+an unknown key is a config error, and every resolved value is echoed into
+the output metadata, so runs are self-describing.  Outputs land in a flat
+directory under fixed names (source.rcv, target.rcv, gt.rcv, u.rcv, cov.rcv,
+mean.rcv, pred.rcv, solver_log.csv for the affine_ssd and demons backends,
+metrics.json, risk_coverage.csv).  Exit codes: 0 success, 1 config error,
+2 numeric failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +33,7 @@ from .geometry import (
 )
 from .metrics import bin_curve, error_map, mse_decomposition_check, pearson, risk_coverage, spearman
 from .perturb import GtSpec, PerturbSpec, simulate_gt_with_info
-from .register import (
-    AffineSsdBackend,
-    DemonsBackend,
-    ErrorModel,
-    OracleBackend,
-    affine_ssd_register,
-    demons_register,
-)
+from .register import AffineSsdBackend, DemonsBackend, ErrorModel, OracleBackend
 from .uncertainty import decompose_cov, estimate_uncertainty, verify_lemma
 from .volume import (
     RoiMask,
@@ -138,42 +133,28 @@ def _shape(shape, key: str) -> tuple[int, int, int]:
     return dims
 
 
-def _build_perturb_spec(cfg: dict, shape, seed: int) -> PerturbSpec:
-    sec = _section(cfg, "perturb")
-    try:
-        return PerturbSpec(
-            family=sec.get("family", "translation"),
-            shape=shape,
-            seed=int(sec.get("seed", seed)),
-            count=int(sec.get("count", 50)),
-            translation_fraction=float(sec.get("translation_fraction", 0.01)),
-            scale_range=tuple(sec.get("scale_range", (0.9, 1.1))),
-            shear_max=float(sec.get("shear_max", 0.02)),
-            grid_spacing=int(sec.get("grid_spacing", 10)),
-            node_max=float(sec.get("node_max", 12.5)),
-            deform_strength=float(sec.get("deform_strength", 0.08)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'perturb' section: {exc}") from exc
+def _known_keys(sec: dict, names, what: str) -> None:
+    unknown = [key for key in sec if key not in names]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in config section {what!r}")
 
 
-def _build_gt_spec(cfg: dict, seed: int) -> GtSpec:
-    sec = _section(cfg, "gt")
+def _from_section(cls, sec: dict, what: str, **supplied):
+    """cls built from a config section over the values the CLI supplies.
+
+    Only the keys the section gives are passed, so every other field keeps
+    the class's own default; numeric fields go through _number.
+    """
+    names = {f.name: f for f in fields(cls)}
+    _known_keys(sec, names, what)
+    for key, value in sec.items():
+        default = names[key].default
+        numeric = type(default) in (int, float)
+        supplied[key] = _number(sec, key, None, type(default)) if numeric else value
     try:
-        return GtSpec(
-            kind=sec.get("kind", "translation"),
-            seed=int(sec.get("seed", seed)),
-            translation_fraction=float(sec.get("translation_fraction", 0.10)),
-            shear_max=float(sec.get("shear_max", 0.10)),
-            scale_range=tuple(sec.get("scale_range", (0.8, 1.2))),
-            grid_spacing=int(sec.get("grid_spacing", 10)),
-            node_max=float(sec.get("node_max", 12.5)),
-            invert_tol_voxels=float(sec.get("invert_tol_voxels", 0.5)),
-            max_resample=int(sec.get("max_resample", 10)),
-            phantom_kind=sec.get("phantom_kind", "blobs"),
-        )
+        return cls(**supplied)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'gt' section: {exc}") from exc
+        raise ConfigError(f"bad {what!r} section: {exc}") from exc
 
 
 def _build_error_model(sec: dict, seed: int) -> ErrorModel:
@@ -200,30 +181,17 @@ def _build_error_model(sec: dict, seed: int) -> ErrorModel:
         raise ConfigError(f"bad error model: {exc}") from exc
 
 
-def _backend_echo(sec: dict, seed: int) -> dict:
-    echo = {"kind": sec.get("kind", "affine_ssd")}
-    for k, v in sec.items():
-        if k not in ("kind",):
-            echo[k] = v
-    echo.setdefault("seed", seed)
-    return echo
+_SOLVER_BACKENDS = {"affine_ssd": AffineSsdBackend, "demons": DemonsBackend}
 
 
 def _build_backend(cfg: dict, out_dir: Path, seed: int):
     sec = _section(cfg, "backend")
     kind = sec.get("kind", "affine_ssd")
-    if kind == "affine_ssd":
-        backend = AffineSsdBackend(
-            levels=_number(sec, "levels", 3),
-            iters=_number(sec, "iters", 80),
-            step=_number(sec, "step", 0.5, float),
-        )
-    elif kind == "demons":
-        backend = DemonsBackend(
-            iters=_number(sec, "iters", 60),
-            smooth_sigma=_number(sec, "smooth_sigma", 1.0, float),
-        )
+    params = {k: v for k, v in sec.items() if k != "kind"}
+    if kind in _SOLVER_BACKENDS:
+        backend = _from_section(_SOLVER_BACKENDS[kind], params, "backend")
     elif kind == "oracle":
+        _known_keys(params, ("error_model",), "backend")
         gt_path = out_dir / "gt.rcv"
         if not gt_path.exists():
             raise FileNotFoundError(f"oracle backend needs {gt_path} (run simulate-pair first)")
@@ -231,7 +199,7 @@ def _build_backend(cfg: dict, out_dir: Path, seed: int):
         backend = OracleBackend(_dense_from_file(gt_path), model)
     else:
         raise ConfigError(f"unknown backend kind {kind!r}")
-    return backend, _backend_echo(sec, seed)
+    return backend, {**sec, "kind": kind, "seed": seed}
 
 
 def _dense_from_file(path) -> DenseTransform:
@@ -284,8 +252,12 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
     else:
         shape = _shape(cfg.get("shape"), "shape")
         sec = _section(cfg, "phantom")
-        source = make_phantom(shape, sec.get("kind", "blobs"), seed=_number(sec, "seed", seed))
-    gt_spec = _build_gt_spec(cfg, seed)
+        phantom_seed = _number(sec, "seed", seed)
+        try:
+            source = make_phantom(shape, sec.get("kind", "blobs"), seed=phantom_seed)
+        except ValueError as exc:
+            raise ConfigError(f"bad phantom: {exc}") from exc
+    gt_spec = _from_section(GtSpec, _section(cfg, "gt"), "gt", kind="translation", seed=seed)
     gt, info = simulate_gt_with_info(gt_spec, shape)
     target = warp(source, gt)
     write_volume(out_dir / "source.rcv", source)
@@ -308,25 +280,27 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
 def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
     source = read_volume(out_dir / "source.rcv")
     target = read_volume(out_dir / "target.rcv")
-    spec = _build_perturb_spec(cfg, source.shape, seed)
+    # The section's own shape, if any, never overrides the volume's.
+    perturb_sec = {**_section(cfg, "perturb"), "shape": source.shape}
+    spec = _from_section(PerturbSpec, perturb_sec, "perturb", family="translation", seed=seed)
     backend, backend_echo = _build_backend(cfg, out_dir, seed)
-    est_sec = _section(cfg, "estimate")
-    unbiased = bool(est_sec.get("unbiased", False))
+    unbiased = _section(cfg, "estimate").get("unbiased", False)
+    if not isinstance(unbiased, bool):
+        raise ConfigError(f"'unbiased' must be true or false, got {unbiased!r}")
     result = estimate_uncertainty(
         backend, source, target, spec, unbiased=unbiased, threads=threads
     )
-    debug = bool(cfg.get("debug", False))
-    pred, log_rows = _base_prediction(backend, source, target, debug)
+    pred = backend.register(source, target)
     write_volume(out_dir / "u.rcv", result.uncertainty)
     write_volume(out_dir / "cov.rcv", Volume3(result.cov.astype(np.float32)))
     write_volume(out_dir / "mean.rcv", _dense_to_volume(result.mean))
-    write_volume(out_dir / "pred.rcv", _dense_to_volume(pred))
+    write_volume(out_dir / "pred.rcv", _dense_to_volume(pred.transform))
     if isinstance(backend, OracleBackend):
         dec = decompose_cov(backend, spec, spec.count)
         write_volume(out_dir / "intrinsic.rcv", Volume3(dec.intrinsic.astype(np.float32)))
         write_volume(out_dir / "jitter.rcv", Volume3(dec.jitter.astype(np.float32)))
-    if log_rows is not None:
-        _write_csv(out_dir / "solver_log.csv", log_rows[0], log_rows[1:])
+    if pred.log:
+        _write_csv(out_dir / "solver_log.csv", pred.log_header, pred.log)
     _write_json(
         out_dir / "estimate.json",
         {
@@ -343,23 +317,6 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
     )
     print(f"wrote uncertainty maps to {out_dir} (N={result.n_samples})")
     return 0
-
-
-def _base_prediction(backend, source, target, debug: bool):
-    """Unperturbed registration; iteration log captured for solver backends in debug mode."""
-    if debug and isinstance(backend, AffineSsdBackend):
-        res = affine_ssd_register(
-            source, target, levels=backend.levels, iters=backend.iters, step=backend.step
-        )
-        rows = [("level", "iteration", "ssd", "step")] + [tuple(r) for r in res.log]
-        return res.transform, rows
-    if debug and isinstance(backend, DemonsBackend):
-        res = demons_register(
-            source, target, iters=backend.iters, smooth_sigma=backend.smooth_sigma
-        )
-        rows = [("iteration", "ssd")] + [tuple(r) for r in res.log]
-        return res.transform, rows
-    return backend.register(source, target), None
 
 
 def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
@@ -409,6 +366,12 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
             raise ConfigError("each lemma check needs a 'kind'")
         model_sec = chk.get("model", {"mu": [0.5, 0.0, 0.0], "sigma": 0.5})
         model = _build_error_model(_object(model_sec, "lemma check 'model'"), seed)
+        # Perturbation magnitudes not named here keep verify_lemma's defaults.
+        magnitudes = {
+            key: _number(chk, key, None, kind)
+            for key, kind in (("strength", float), ("grid_spacing", int), ("node_max", float))
+            if key in chk
+        }
         rep = verify_lemma(
             chk["kind"],
             model,
@@ -416,9 +379,7 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
             grid,
             n_mc=_number(chk, "n_mc", n_mc),
             seed=_number(chk, "seed", seed),
-            strength=_number(chk, "strength", 0.08, float),
-            grid_spacing=_number(chk, "grid_spacing", 10),
-            node_max=_number(chk, "node_max", 12.5, float),
+            **magnitudes,
         )
         reports.append(rep.to_dict())
         status = "PASS" if rep.passed else "FAIL"

@@ -232,7 +232,7 @@ def mse_decomposition_check(
     blank = Volume3(np.zeros(shape, dtype=np.float32))
     acc = np.zeros(len(grid), dtype=np.float64)
     for m in range(draws):
-        out = oracle.register(blank, blank, perturbation=None, nonce=m)
+        out = oracle.register(blank, blank, perturbation=None, nonce=m).transform
         eps = grid + out.displacement.reshape(-1, 3) - phi_pos
         acc += (eps * eps).sum(axis=1)
     empirical = (acc / draws).reshape(shape)

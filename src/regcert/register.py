@@ -29,6 +29,7 @@ from .geometry import (
 from .volume import Volume3
 
 __all__ = [
+    "Registration",
     "RegistrationBackend",
     "ErrorModel",
     "OracleBackend",
@@ -165,6 +166,18 @@ class ErrorModel:
         return eps
 
 
+@dataclass(frozen=True)
+class Registration:
+    """One registration: the fitted transform and the solver's log, if any.
+
+    log holds one row per solver iteration; log_header names its columns.
+    """
+
+    transform: DenseTransform
+    log: tuple = field(repr=False, default=())
+    log_header: tuple = ()
+
+
 class RegistrationBackend:
     """Maps a source/target pair to a dense target-to-source transform."""
 
@@ -176,7 +189,7 @@ class RegistrationBackend:
         target: Volume3,
         perturbation: Transform | None = None,
         nonce: int = 0,
-    ) -> DenseTransform:
+    ) -> Registration:
         raise NotImplementedError
 
 
@@ -223,7 +236,7 @@ class OracleBackend(RegistrationBackend):
             positions, _ = self.inverse_positions(perturbation, self.true_transform.apply(grid))
             tau_eff = perturbation
         eps = self.error_model.sample(tau_eff, grid, nonce)
-        return DenseTransform((positions + eps - grid).reshape(shape + (3,)))
+        return Registration(DenseTransform((positions + eps - grid).reshape(shape + (3,))))
 
 
 def _pyramid(arr: np.ndarray, levels: int, min_size: int = 8):
@@ -421,9 +434,10 @@ class AffineSsdBackend(RegistrationBackend):
     name = "affine_ssd"
 
     def register(self, source, target, perturbation=None, nonce=0):
-        return affine_ssd_register(
+        res = affine_ssd_register(
             source, target, levels=self.levels, iters=self.iters, step=self.step
-        ).transform
+        )
+        return Registration(res.transform, res.log, ("level", "iteration", "ssd", "step"))
 
 
 @dataclass(frozen=True)
@@ -434,6 +448,5 @@ class DemonsBackend(RegistrationBackend):
     name = "demons"
 
     def register(self, source, target, perturbation=None, nonce=0):
-        return demons_register(
-            source, target, iters=self.iters, smooth_sigma=self.smooth_sigma
-        ).transform
+        res = demons_register(source, target, iters=self.iters, smooth_sigma=self.smooth_sigma)
+        return Registration(res.transform, res.log, ("iteration", "ssd"))

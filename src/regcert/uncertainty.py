@@ -115,7 +115,7 @@ def _one_sample(backend, source, target, spec, n):
     tau = sample_perturbation(spec, n)
     perturbed = warp(source, tau)
     try:
-        fitted = backend.register(perturbed, target, perturbation=tau, nonce=n)
+        fitted = backend.register(perturbed, target, perturbation=tau, nonce=n).transform
     except Exception as exc:
         msg = f"backend failed on perturbation sample {n}: {exc}"
         try:

@@ -18,6 +18,7 @@ import pytest
 
 import regcert.cli as cli
 from regcert.cli import main
+from regcert.perturb import PerturbSpec
 from regcert.volume import Volume3, read_volume, write_volume
 
 
@@ -200,6 +201,9 @@ def test_estimate_defaults_and_unbiased_divisor(tmp_path):
     meta = json.loads((out / "estimate.json").read_text())
     assert meta["perturb_spec"]["family"] == "translation"
     assert meta["perturb_spec"]["translation_fraction"] == 0.01
+    # every unset key keeps PerturbSpec's own default; the seed is the run's (0)
+    want = dataclasses.asdict(PerturbSpec(family="translation", shape=(16, 16, 16), seed=0, count=6))
+    assert meta["perturb_spec"] == json.loads(json.dumps(want))
     assert meta["divisor"] == "n-1"
     assert meta["unbiased"] is True
 
@@ -237,6 +241,25 @@ def test_estimate_debug_writes_solver_log_for_solver_backend(tmp_path):
     log = (out / "solver_log.csv").read_text().splitlines()
     assert log[0] == "level,iteration,ssd,step"
     assert len(log) > 1
+
+
+@pytest.mark.parametrize(
+    "backend, header",
+    [
+        ({"kind": "affine_ssd", "levels": 2, "iters": 2, "step": 0.3}, "level,iteration,ssd,step"),
+        ({"kind": "demons", "iters": 3}, "iteration,ssd"),
+    ],
+    ids=["affine_ssd", "demons"],
+)
+def test_estimate_writes_solver_log_for_solver_backend(tmp_path, backend, header):
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    cfg = write_cfg(tmp_path, "est.json", {"perturb": {"count": 2}, "backend": backend})
+    rc = main(["estimate", "--config", cfg, "--out", str(out)])
+    assert rc == 0
+    log = (out / "solver_log.csv").read_text().splitlines()
+    assert log[0] == header
+    assert len(log) > 1
+    assert all(len(row.split(",")) == len(header.split(",")) for row in log)
 
 
 def test_estimate_debug_with_oracle_backend_writes_no_log(tmp_path):
@@ -434,25 +457,56 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, cfg",
+    "command, cfg, names",
     [
-        ("lemma-check", {"seed": "x", "lemma": {"grid": [6, 6, 6], "checks": []}}),
-        ("lemma-check", {"lemma": {"grid": [6, 6], "checks": []}}),
-        ("lemma-check", {"lemma": {"grid": [6, 6, 6], "checks": [], "mse": [3]}}),
-        ("lemma-check", {"lemma": {"phi": "translation", "checks": []}}),
-        ("lemma-check", {"lemma": {"grid": [6, 6, 6], "checks": ["kind"]}}),
-        ("lemma-check", {"lemma": {"checks": [{"kind": "translation", "n_mc": "many"}]}}),
-        ("simulate-pair", {"shape": [8, 8, 8], "phantom": {"seed": "x"}}),
+        ("lemma-check", {"seed": "x", "lemma": {"grid": [6, 6, 6], "checks": []}}, None),
+        ("lemma-check", {"lemma": {"grid": [6, 6], "checks": []}}, None),
+        ("lemma-check", {"lemma": {"grid": [6, 6, 6], "checks": [], "mse": [3]}}, None),
+        ("lemma-check", {"lemma": {"phi": "translation", "checks": []}}, None),
+        ("lemma-check", {"lemma": {"grid": [6, 6, 6], "checks": ["kind"]}}, None),
+        ("lemma-check", {"lemma": {"checks": [{"kind": "translation", "n_mc": "many"}]}}, None),
+        ("simulate-pair", {"shape": [8, 8, 8], "phantom": {"seed": "x"}}, None),
+        ("simulate-pair", {"shape": [8, 8, 8]}, "shape"),
+        ("simulate-pair", {"shape": [16, 16, 16], "phantom": {"kind": "noise"}}, "'noise'"),
+        ("simulate-pair", {"shape": [16, 16, 16], "gt": {"cout": 3}}, "'cout'"),
+        ("estimate", {"perturb": {"cout": 500}, "backend": {"kind": "oracle"}}, "'cout'"),
+        ("estimate", {"backend": {"kind": "affine_ssd", "iter": 2}}, "'iter'"),
+        ("estimate", {"backend": {"kind": "demons", "sigma": 1.0}}, "'sigma'"),
+        ("estimate", {"backend": {"kind": "oracle", "error_modle": {}}}, "'error_modle'"),
+        ("estimate", oracle_est_cfg(count=4, estimate={"unbiased": "false"}), "'unbiased'"),
     ],
-    ids=["seed", "grid", "mse-entry", "phi", "check-entry", "n_mc", "phantom-seed"],
+    ids=[
+        "seed",
+        "grid",
+        "mse-entry",
+        "phi",
+        "check-entry",
+        "n_mc",
+        "phantom-seed",
+        "phantom-shape",
+        "phantom-kind",
+        "gt-key",
+        "perturb-key",
+        "affine-ssd-key",
+        "demons-key",
+        "oracle-key",
+        "unbiased",
+    ],
 )
-def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg):
+def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
+    out = tmp_path / "o"
+    if command == "estimate":
+        simulate(tmp_path, out, base_sim_cfg(shape=[16, 16, 16]))
+        capsys.readouterr()
     path = write_cfg(tmp_path, "cfg.json", cfg)
-    rc = main([command, "--config", path, "--out", str(tmp_path / "o")])
+    rc = main([command, "--config", path, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config error")
     assert "Traceback" not in err
+    if names is not None:
+        assert names in err
+    assert not (out / "estimate.json").exists()
 
 
 def test_affine_phi_without_matrix_exits_one(tmp_path, capsys):

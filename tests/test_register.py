@@ -113,12 +113,12 @@ def test_sigma_scale_scales_covariance():
 def test_oracle_zero_noise_returns_exact_composition():
     shape = (8, 8, 8)
     backend = OracleBackend(PHI, ErrorModel())
-    out = backend.register(blank(shape), blank(shape), perturbation=None)
+    out = backend.register(blank(shape), blank(shape), perturbation=None).transform
     g = grid_points(shape).reshape(-1, 3)
     assert np.max(np.abs(out.displacement.reshape(-1, 3) - PHI.offset)) < 1e-12
 
     tau = TranslationTransform((0.4, -0.2, 0.1))
-    out2 = backend.register(blank(shape), blank(shape), perturbation=tau)
+    out2 = backend.register(blank(shape), blank(shape), perturbation=tau).transform
     want = PHI.offset - tau.offset  # tau^-1 o phi for translations
     assert np.max(np.abs(out2.displacement.reshape(-1, 3) - want)) < 1e-12
 
@@ -126,7 +126,7 @@ def test_oracle_zero_noise_returns_exact_composition():
 def test_oracle_constant_bias_added_exactly():
     shape = (6, 6, 6)
     backend = OracleBackend(PHI, ErrorModel(mu=(1.0, 0.0, 0.0)))
-    out = backend.register(blank(shape), blank(shape), perturbation=None)
+    out = backend.register(blank(shape), blank(shape), perturbation=None).transform
     want = PHI.offset + [1.0, 0.0, 0.0]
     assert np.max(np.abs(out.displacement.reshape(-1, 3) - want)) < 1e-12
 
@@ -134,9 +134,9 @@ def test_oracle_constant_bias_added_exactly():
 def test_oracle_noise_deterministic_in_nonce():
     shape = (6, 6, 6)
     backend = OracleBackend(PHI, ErrorModel.isotropic(0.3, seed=5))
-    a = backend.register(blank(shape), blank(shape), nonce=2)
-    b = backend.register(blank(shape), blank(shape), nonce=2)
-    c = backend.register(blank(shape), blank(shape), nonce=3)
+    a = backend.register(blank(shape), blank(shape), nonce=2).transform
+    b = backend.register(blank(shape), blank(shape), nonce=2).transform
+    c = backend.register(blank(shape), blank(shape), nonce=3).transform
     assert np.array_equal(a.displacement, b.displacement)
     assert not np.array_equal(a.displacement, c.displacement)
 
@@ -152,7 +152,7 @@ def test_oracle_equivariance_with_zero_error_model():
     tau_lin = sample_perturbation(
         PerturbSpec(family="affine", shape=shape, seed=3, count=4), 1
     )
-    fitted = backend.register(blank(shape), blank(shape), perturbation=tau_lin)
+    fitted = backend.register(blank(shape), blank(shape), perturbation=tau_lin).transform
     got = tau_lin.apply(g + fitted.displacement.reshape(-1, 3))
     assert np.max(np.linalg.norm(got - want, axis=1)) < 1e-9
 
@@ -160,7 +160,7 @@ def test_oracle_equivariance_with_zero_error_model():
         PerturbSpec(family="deform", shape=shape, seed=3, count=4, deform_strength=0.05), 1
     )
     _, residual = backend.inverse_positions(tau_def, want)
-    fitted = backend.register(blank(shape), blank(shape), perturbation=tau_def)
+    fitted = backend.register(blank(shape), blank(shape), perturbation=tau_def).transform
     got = tau_def.apply(g + fitted.displacement.reshape(-1, 3))
     assert np.max(np.linalg.norm(got - want, axis=1)) <= 2.0 * residual + 1e-9
 
@@ -176,7 +176,8 @@ def test_oracle_noise_variance_matches_model():
     acc = np.zeros((n, 3))
     acc2 = np.zeros((n, 3))
     for m in range(draws):
-        d = backend.register(blank(shape), blank(shape), nonce=m).displacement.reshape(-1, 3)
+        fitted = backend.register(blank(shape), blank(shape), nonce=m).transform
+        d = fitted.displacement.reshape(-1, 3)
         acc += d
         acc2 += d * d
     var = acc2 / draws - (acc / draws) ** 2
@@ -279,9 +280,21 @@ def test_demons_validation():
 def test_backend_wrappers_expose_names_and_register():
     src = make_phantom((16, 16, 16), "blobs", seed=0)
     for backend in (AffineSsdBackend(levels=2, iters=5, step=0.5), DemonsBackend(iters=5)):
-        out = backend.register(src, src, perturbation=None, nonce=0)
+        out = backend.register(src, src, perturbation=None, nonce=0).transform
         assert out.shape == (16, 16, 16)
         assert np.all(np.isfinite(out.displacement))
     assert AffineSsdBackend().name == "affine_ssd"
     assert DemonsBackend().name == "demons"
     assert OracleBackend(PHI, ErrorModel()).name == "oracle"
+
+
+def test_registration_carries_the_solver_log():
+    src = make_phantom((16, 16, 16), "blobs", seed=0)
+    reg = AffineSsdBackend(levels=2, iters=5, step=0.5).register(src, src)
+    assert reg.log == affine_ssd_register(src, src, levels=2, iters=5, step=0.5).log
+    assert reg.log_header == ("level", "iteration", "ssd", "step")
+    reg = DemonsBackend(iters=5).register(src, src)
+    assert reg.log == demons_register(src, src, iters=5).log
+    assert reg.log_header == ("iteration", "ssd")
+    reg = OracleBackend(PHI, ErrorModel()).register(blank((6, 6, 6)), blank((6, 6, 6)))
+    assert reg.log == () and reg.log_header == ()
