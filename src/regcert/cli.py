@@ -157,7 +157,14 @@ def _from_section(cls, sec: dict, what: str, **supplied):
         raise ConfigError(f"bad {what!r} section: {exc}") from exc
 
 
+_ERROR_MODEL_KEYS = ("mu", "sigma", "mu_field_path", "mu_scale", "sigma_scale", "seed")
+_LEMMA_KEYS = ("grid", "n_mc", "phi", "checks", "mse")
+_LEMMA_CHECK_KEYS = ("kind", "model", "strength", "grid_spacing", "node_max", "n_mc", "seed")
+_LEMMA_MSE_KEYS = ("model", "draws")
+
+
 def _build_error_model(sec: dict, seed: int) -> ErrorModel:
+    _known_keys(sec, _ERROR_MODEL_KEYS, "error_model")
     try:
         sigma = sec.get("sigma", 0.0)
         if isinstance(sigma, list):
@@ -353,34 +360,39 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
 
 def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
     sec = _section(cfg, "lemma")
+    _known_keys(sec, _LEMMA_KEYS, "lemma")
     grid = _shape(sec.get("grid", [16, 16, 16]), "grid")
     n_mc = _number(sec, "n_mc", 2000)
     phi = _phi_from(sec, grid)
     checks = sec.get("checks")
     if checks is None:
         checks = [{"kind": "translation"}, {"kind": "affine"}]
-    reports = []
-    all_ok = True
+    # Every entry is read before any check runs, so a config mistake exits
+    # at once instead of after the Monte Carlo ahead of it.
+    runs = []
     for chk in _objects(checks, "lemma check"):
+        _known_keys(chk, _LEMMA_CHECK_KEYS, "lemma check")
         if "kind" not in chk:
             raise ConfigError("each lemma check needs a 'kind'")
         model_sec = chk.get("model", {"mu": [0.5, 0.0, 0.0], "sigma": 0.5})
         model = _build_error_model(_object(model_sec, "lemma check 'model'"), seed)
+        kw = {"n_mc": _number(chk, "n_mc", n_mc), "seed": _number(chk, "seed", seed)}
         # Perturbation magnitudes not named here keep verify_lemma's defaults.
-        magnitudes = {
-            key: _number(chk, key, None, kind)
+        kw.update(
+            (key, _number(chk, key, None, kind))
             for key, kind in (("strength", float), ("grid_spacing", int), ("node_max", float))
             if key in chk
-        }
-        rep = verify_lemma(
-            chk["kind"],
-            model,
-            phi,
-            grid,
-            n_mc=_number(chk, "n_mc", n_mc),
-            seed=_number(chk, "seed", seed),
-            **magnitudes,
         )
+        runs.append((chk["kind"], model, kw))
+    cases = []
+    for case in _objects(sec.get("mse", []), "lemma mse case"):
+        _known_keys(case, _LEMMA_MSE_KEYS, "lemma mse case")
+        model = _build_error_model(_object(case.get("model", {}), "mse case 'model'"), seed)
+        cases.append((model, _number(case, "draws", 2000)))
+    reports = []
+    all_ok = True
+    for kind, model, kw in runs:
+        rep = verify_lemma(kind, model, phi, grid, **kw)
         reports.append(rep.to_dict())
         status = "PASS" if rep.passed else "FAIL"
         print(
@@ -389,11 +401,8 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
         )
         all_ok = all_ok and rep.passed
     mse_reports = []
-    for case in _objects(sec.get("mse", []), "lemma mse case"):
-        model = _build_error_model(_object(case.get("model", {}), "mse case 'model'"), seed)
-        draws = _number(case, "draws", 2000)
-        oracle = OracleBackend(phi, model)
-        rep = mse_decomposition_check(oracle, draws, grid)
+    for model, draws in cases:
+        rep = mse_decomposition_check(OracleBackend(phi, model), draws, grid)
         band = 3.0 * rep.chi2_rel_std if math.isfinite(rep.chi2_rel_std) else 0.05
         ok = abs(rep.mean_empirical - rep.mean_expected) <= max(band, 0.05) * max(
             rep.mean_expected, 1e-12

@@ -26,6 +26,7 @@ __all__ = [
     "DenseTransform",
     "InversionResult",
     "identity_transform",
+    "is_linear",
     "grid_points",
     "trilinear_sample",
     "evaluate",
@@ -181,6 +182,11 @@ class AffineTransform(Transform):
 
     def __repr__(self):
         return f"AffineTransform({self.matrix.tolist()}, {self.offset.tolist()})"
+
+
+def is_linear(t: Transform) -> bool:
+    """True when t is affine in y, so its Jacobian is one matrix everywhere."""
+    return isinstance(t, (TranslationTransform, AffineTransform))
 
 
 def _bspline_weights(t: np.ndarray) -> np.ndarray:

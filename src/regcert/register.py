@@ -24,6 +24,7 @@ from .geometry import (
     identity_transform,
     invert,
     invert_at,
+    is_linear,
     trilinear_sample,
 )
 from .volume import Volume3
@@ -179,9 +180,16 @@ class Registration:
 
 
 class RegistrationBackend:
-    """Maps a source/target pair to a dense target-to-source transform."""
+    """Maps a source/target pair to a dense target-to-source transform.
+
+    reads_images says whether register looks at voxel values.  A backend
+    that sets it False promises a result that depends on the images' shapes
+    alone, never on their values, so the estimator hands it the unperturbed
+    source and skips warping it through each perturbation.
+    """
 
     name = "backend"
+    reads_images = True
 
     def register(
         self,
@@ -203,6 +211,7 @@ class OracleBackend(RegistrationBackend):
     """
 
     name = "oracle"
+    reads_images = False
 
     def __init__(
         self,
@@ -221,7 +230,7 @@ class OracleBackend(RegistrationBackend):
         iteration directly at the query points otherwise, so no dense
         intermediate field or interpolation enters the oracle's output.
         """
-        if isinstance(tau, (TranslationTransform, AffineTransform)):
+        if is_linear(tau):
             return invert(tau).transform.apply(pts), 0.0
         positions, residual, _ = invert_at(tau, pts, strict=not self.lenient_inversion)
         return positions, residual

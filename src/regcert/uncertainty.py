@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DenseTransform, Transform, grid_points
+from .geometry import DenseTransform, Transform, grid_points, is_linear
 from .perturb import PerturbSpec, sample_perturbation
 from .register import ErrorModel, OracleBackend, RegistrationBackend
 from .volume import Volume3, make_phantom, warp
@@ -113,7 +113,8 @@ class UncertaintyResult:
 
 def _one_sample(backend, source, target, spec, n):
     tau = sample_perturbation(spec, n)
-    perturbed = warp(source, tau)
+    # A backend that never reads voxel values gets the source as it is.
+    perturbed = warp(source, tau) if backend.reads_images else source
     try:
         fitted = backend.register(perturbed, target, perturbation=tau, nonce=n).transform
     except Exception as exc:
@@ -228,7 +229,9 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
         tau = sample_perturbation(spec, m)
         v, residual = backend.inverse_positions(tau, phi_pos)
         max_residual = max(max_residual, residual)
-        jac = tau.jacobian(v)
+        # A linear tau has one Jacobian: taken once as (1, 3, 3), it and its
+        # J Sigma J^T broadcast over the voxels instead of being rebuilt at each.
+        jac = tau.jacobian(v[:1] if is_linear(tau) else v)
         sig = backend.error_model.cov(tau)
         if np.any(sig):
             js = jac @ sig
@@ -316,7 +319,8 @@ def relative_frobenius(emp: np.ndarray, closed: np.ndarray) -> np.ndarray:
     wts = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
     diff2 = ((emp - closed) ** 2 * wts).sum(axis=-1)
     ref2 = (closed**2 * wts).sum(axis=-1)
-    floor = max(float(ref2.max()), 1e-300) * 1e-24
+    # A floor relative to the largest reference that cannot underflow to 0.
+    floor = max(float(ref2.max()) * 1e-24, np.finfo(np.float64).tiny)
     return np.sqrt(diff2 / np.maximum(ref2, floor))
 
 

@@ -474,6 +474,38 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
         ("estimate", {"backend": {"kind": "demons", "sigma": 1.0}}, "'sigma'"),
         ("estimate", {"backend": {"kind": "oracle", "error_modle": {}}}, "'error_modle'"),
         ("estimate", oracle_est_cfg(count=4, estimate={"unbiased": "false"}), "'unbiased'"),
+        (
+            "estimate",
+            {"perturb": {"count": 4}, "backend": {"kind": "oracle", "error_model": {"sigam": 0.5}}},
+            "'sigam'",
+        ),
+        ("lemma-check", {"lemma": {"grid": [6, 6, 6], "n_mc": 4, "chekcs": []}}, "'chekcs'"),
+        (
+            "lemma-check",
+            {"lemma": {"grid": [6, 6, 6], "checks": [
+                {"kind": "deform", "n_mc": 4, "strenght": 0.3, "model": {"sigam": 0.5}}
+            ]}},
+            "'strenght'",
+        ),
+        (
+            "lemma-check",
+            {"lemma": {"grid": [6, 6, 6], "checks": [
+                {"kind": "translation", "n_mc": 4, "model": {"mu": [0.5, 0.0, 0.0], "sigam": 0.5}}
+            ]}},
+            "'sigam'",
+        ),
+        (
+            "lemma-check",
+            {"lemma": {"grid": [6, 6, 6], "checks": [], "mse": [{"drows": 4}]}},
+            "'drows'",
+        ),
+        (
+            "lemma-check",
+            {"lemma": {"grid": [6, 6, 6], "checks": [], "mse": [
+                {"draws": 4, "model": {"sigam": 0.5}}
+            ]}},
+            "'sigam'",
+        ),
     ],
     ids=[
         "seed",
@@ -491,6 +523,12 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
         "demons-key",
         "oracle-key",
         "unbiased",
+        "oracle-model-key",
+        "lemma-key",
+        "check-key",
+        "check-model-key",
+        "mse-key",
+        "mse-model-key",
     ],
 )
 def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):

@@ -6,13 +6,24 @@ stream is genuinely involved.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regcert.geometry import TranslationTransform, grid_points
+from regcert import uncertainty
+from regcert.geometry import DenseTransform, TranslationTransform, grid_points
 from regcert.perturb import PerturbSpec, sample_perturbation
-from regcert.register import AffineSsdBackend, ErrorModel, OracleBackend
+from regcert.register import (
+    TAU_SCALE_FUNCTIONS,
+    AffineSsdBackend,
+    ErrorModel,
+    OracleBackend,
+    Registration,
+    RegistrationBackend,
+)
 from regcert.uncertainty import (
     LEMMA_KINDS,
     REGIME_STRENGTH_MAX,
@@ -24,7 +35,7 @@ from regcert.uncertainty import (
     tri_to_matrices,
     verify_lemma,
 )
-from regcert.uncertainty import _linearized_cov, _Moments
+from regcert.uncertainty import _TRI, _linearized_cov, _Moments
 from regcert.volume import Volume3, make_phantom, warp
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
@@ -203,6 +214,44 @@ def test_backend_failure_with_multi_argument_exception_reports_sample_index():
     assert isinstance(info.value.__cause__, TwoArgError)
 
 
+def test_oracle_estimate_never_warps_the_source(monkeypatch):
+    calls = []
+    monkeypatch.setattr(uncertainty, "warp", lambda volume, t: calls.append(t))
+    shape = (6, 6, 6)
+    backend = OracleBackend(PHI, ErrorModel.isotropic(0.2, seed=1))
+    assert RegistrationBackend.reads_images and not backend.reads_images
+    for family in ("affine", "deform"):
+        spec = spec_for(family, shape, count=4)
+        estimate_uncertainty(backend, blank(shape), blank(shape), spec)
+    assert calls == []
+
+
+def test_image_backend_receives_the_warped_source(monkeypatch):
+    class Recording(RegistrationBackend):
+        def __init__(self):
+            self.seen = []
+
+        def register(self, source, target, perturbation=None, nonce=0):
+            self.seen.append((source, perturbation))
+            return Registration(DenseTransform(np.zeros(target.shape + (3,))))
+
+    calls = []
+
+    def counting_warp(volume, t):
+        calls.append(t)
+        return warp(volume, t)
+
+    monkeypatch.setattr(uncertainty, "warp", counting_warp)
+    shape = (16, 16, 16)
+    src = make_phantom(shape, "blobs", seed=0)
+    backend = Recording()
+    estimate_uncertainty(backend, src, src, spec_for("affine", shape, count=3))
+    assert len(calls) == 3
+    assert [tau for _, tau in backend.seen] == calls
+    for got, tau in backend.seen:
+        assert np.array_equal(got.data, warp(src, tau).data)
+
+
 def test_threads_validation():
     shape = (6, 6, 6)
     with pytest.raises(ValueError, match="threads"):
@@ -225,6 +274,86 @@ def test_decompose_sample_count_validation():
         decompose_cov(backend, spec_for("translation", count=5), 0)
     with pytest.raises(ValueError, match="exceeds"):
         decompose_cov(backend, spec_for("translation", count=5), 6)
+
+
+def _decompose_cov_per_voxel(backend, spec, m_samples):
+    """Reference: J built and contracted at every voxel, whatever tau is.
+
+    This is the loop decompose_cov runs for non-linear tau; for linear tau
+    it must give the same bits as the one-Jacobian path.
+    """
+    grid = grid_points(spec.shape).reshape(-1, 3)
+    phi_pos = backend.true_transform.apply(grid)
+    intr = np.zeros((len(grid), 6))
+    jitter = _Moments()
+    for m in range(m_samples):
+        tau = sample_perturbation(spec, m)
+        v, _ = backend.inverse_positions(tau, phi_pos)
+        jac = tau.jacobian(v)
+        sig = backend.error_model.cov(tau)
+        if np.any(sig):
+            full = np.einsum("nik,njk->nij", jac @ sig, jac)
+            for k, (i, j) in enumerate(_TRI):
+                intr[:, k] += full[:, i, j]
+        jitter.add(np.einsum("nij,nj->ni", jac, backend.error_model.mean(tau, grid)))
+    intr /= m_samples
+    return intr.reshape(spec.shape + (6,)), jitter.finalize(m_samples)[1].reshape(spec.shape + (6,))
+
+
+_SIGMA = np.array([[0.3, 0.05, 0.0], [0.05, 0.2, 0.01], [0.0, 0.01, 0.1]])
+
+
+def _reference_model(kind, shape):
+    if kind == "scaled-mu":
+        return ErrorModel(mu=(0.5, 0.2, -0.1), sigma=_SIGMA, mu_scale="mean_diag",
+                          sigma_scale="det")
+    field = np.random.default_rng(5).normal(size=tuple(shape) + (3,))
+    return ErrorModel(mu_field=field, sigma=_SIGMA)
+
+
+@pytest.mark.parametrize("model_kind", ["scaled-mu", "mu-field"])
+@pytest.mark.parametrize("family", ["translation", "scale", "shear", "affine"])
+def test_linear_decomposition_equals_per_voxel_reference(family, model_kind):
+    shape = (7, 8, 9)
+    spec = spec_for(family, shape, count=12)
+    backend = OracleBackend(PHI, _reference_model(model_kind, shape))
+    dec = decompose_cov(backend, spec, 12)
+    intr, jitter = _decompose_cov_per_voxel(backend, spec, 12)
+    assert np.array_equal(dec.intrinsic, intr)
+    assert np.array_equal(dec.jitter, jitter)
+
+
+def test_deform_decomposition_equals_per_voxel_reference():
+    shape = (7, 8, 9)
+    spec = spec_for("deform", shape, count=6, deform_strength=0.02)
+    backend = OracleBackend(PHI, _reference_model("mu-field", shape))
+    dec = decompose_cov(backend, spec, 6)
+    intr, jitter = _decompose_cov_per_voxel(backend, spec, 6)
+    assert np.array_equal(dec.intrinsic, intr)
+    assert np.array_equal(dec.jitter, jitter)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(("translation", "scale", "shear", "affine")),
+    seed=st.integers(0, 10_000),
+    rank=st.integers(0, 3),
+    mu_field=st.booleans(),
+    mu_scale=st.sampled_from((None,) + tuple(TAU_SCALE_FUNCTIONS)),
+    sigma_scale=st.sampled_from((None,) + tuple(TAU_SCALE_FUNCTIONS)),
+)
+def test_decomposition_terms_are_psd(family, seed, rank, mu_field, mu_scale, sigma_scale):
+    shape = (5, 6, 7)
+    rng = np.random.default_rng(seed)
+    factor = rng.normal(size=(3, rank))
+    mean = {"mu_field": rng.normal(size=shape + (3,))} if mu_field else {"mu": rng.normal(size=3)}
+    model = ErrorModel(sigma=factor @ factor.T, mu_scale=mu_scale, sigma_scale=sigma_scale,
+                       seed=seed, **mean)
+    spec = PerturbSpec(family=family, shape=shape, seed=seed, count=8)
+    dec = decompose_cov(OracleBackend(PHI, model), spec, 8)
+    for term in (dec.intrinsic, dec.jitter):
+        w = np.linalg.eigvalsh(tri_to_matrices(term).reshape(-1, 3, 3))
+        assert w.min() >= -1e-12 * max(1.0, float(np.abs(w).max()))
 
 
 def test_translation_intrinsic_is_model_covariance():
@@ -328,6 +457,14 @@ def test_relative_frobenius_zero_where_both_vanish():
     z = np.zeros((4, 6))
     z[0, 0] = 1.0
     rel = relative_frobenius(z.copy(), z.copy())
+    assert np.array_equal(rel, np.zeros(4))
+
+
+def test_relative_frobenius_all_zero_inputs_give_zeros():
+    z = np.zeros((4, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rel = relative_frobenius(z, z.copy())
     assert np.array_equal(rel, np.zeros(4))
 
 
