@@ -15,6 +15,7 @@ from .geometry import (
     Transform,
     TranslationTransform,
     compose,
+    dense,
     evaluate,
     grid_points,
     identity_transform,

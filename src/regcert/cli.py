@@ -4,10 +4,13 @@ One JSON config drives all commands; a section's unset keys keep the
 defaults of the object it configures (PerturbSpec, GtSpec, the backends),
 an unknown key is a config error, and every resolved value is echoed into
 the output metadata, so runs are self-describing.  Outputs land in a flat
-directory under fixed names (source.rcv, target.rcv, gt.rcv, u.rcv, cov.rcv,
-mean.rcv, pred.rcv, solver_log.csv for the affine_ssd and demons backends,
-metrics.json, risk_coverage.csv).  Exit codes: 0 success, 1 config error,
-2 numeric failure, 3 I/O error.
+directory under fixed names: simulate-pair writes source.rcv, target.rcv,
+gt.rcv, gt.json; estimate writes u.rcv, cov.rcv, mean.rcv, pred.rcv,
+estimate.json, solver_log.csv (affine_ssd, demons), intrinsic.rcv and
+jitter.rcv (oracle); evaluate writes error.rcv, metrics.json,
+risk_coverage.csv, risk_coverage_binned.csv; lemma-check writes
+lemma_report.json.  Exit codes: 0 success, 1 config error, 2 numeric
+failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .geometry import (
     DenseTransform,
     Transform,
     TranslationTransform,
-    grid_points,
+    dense,
 )
 from .metrics import bin_curve, error_map, mse_decomposition_check, pearson, risk_coverage, spearman
 from .perturb import GtSpec, PerturbSpec, simulate_gt_with_info
@@ -77,8 +80,12 @@ def _objects(value, what: str) -> list:
     return [_object(v, f"each {what}") for v in value]
 
 
-def _section(cfg: dict, name: str) -> dict:
-    return _object(cfg.get(name, {}), f"config section {name!r}")
+def _section(cfg: dict, name: str, keys=None) -> dict:
+    """cfg[name] as an object; given keys, any other key is a config error."""
+    sec = _object(cfg.get(name, {}), f"config section {name!r}")
+    if keys is not None:
+        _known_keys(sec, keys, name)
+    return sec
 
 
 def _number(sec: dict, key: str, default, kind=int):
@@ -220,13 +227,6 @@ def _dense_to_volume(t: DenseTransform) -> Volume3:
     return Volume3(t.displacement.astype(np.float32))
 
 
-def _render_dense(t: Transform, shape) -> DenseTransform:
-    if isinstance(t, DenseTransform):
-        return t
-    grid = grid_points(shape).reshape(-1, 3)
-    return DenseTransform((t.apply(grid) - grid).reshape(tuple(shape) + (3,)))
-
-
 def _truth_from(out_dir: Path) -> Transform:
     """Reload ground truth, analytic when the metadata allows it."""
     meta_path = out_dir / "gt.json"
@@ -241,8 +241,7 @@ def _truth_from(out_dir: Path) -> Transform:
     return _dense_from_file(out_dir / "gt.rcv")
 
 
-def _mask_from(cfg: dict, shape) -> RoiMask:
-    sec = _section(cfg, "evaluate")
+def _mask_from(sec: dict, shape) -> RoiMask:
     path = sec.get("mask_path")
     if not path:
         return RoiMask.full(shape)
@@ -258,7 +257,7 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
         shape = source.shape
     else:
         shape = _shape(cfg.get("shape"), "shape")
-        sec = _section(cfg, "phantom")
+        sec = _section(cfg, "phantom", ("kind", "seed"))
         phantom_seed = _number(sec, "seed", seed)
         try:
             source = make_phantom(shape, sec.get("kind", "blobs"), seed=phantom_seed)
@@ -269,7 +268,7 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
     target = warp(source, gt)
     write_volume(out_dir / "source.rcv", source)
     write_volume(out_dir / "target.rcv", target)
-    write_volume(out_dir / "gt.rcv", _dense_to_volume(_render_dense(gt, shape)))
+    write_volume(out_dir / "gt.rcv", _dense_to_volume(dense(gt, shape)))
     _write_json(
         out_dir / "gt.json",
         {
@@ -291,7 +290,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
     perturb_sec = {**_section(cfg, "perturb"), "shape": source.shape}
     spec = _from_section(PerturbSpec, perturb_sec, "perturb", family="translation", seed=seed)
     backend, backend_echo = _build_backend(cfg, out_dir, seed)
-    unbiased = _section(cfg, "estimate").get("unbiased", False)
+    unbiased = _section(cfg, "estimate", ("unbiased",)).get("unbiased", False)
     if not isinstance(unbiased, bool):
         raise ConfigError(f"'unbiased' must be true or false, got {unbiased!r}")
     result = estimate_uncertainty(
@@ -301,7 +300,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
     write_volume(out_dir / "u.rcv", result.uncertainty)
     write_volume(out_dir / "cov.rcv", Volume3(result.cov.astype(np.float32)))
     write_volume(out_dir / "mean.rcv", _dense_to_volume(result.mean))
-    write_volume(out_dir / "pred.rcv", _dense_to_volume(pred.transform))
+    write_volume(out_dir / "pred.rcv", _dense_to_volume(dense(pred.transform, target.shape)))
     if isinstance(backend, OracleBackend):
         dec = decompose_cov(backend, spec, spec.count)
         write_volume(out_dir / "intrinsic.rcv", Volume3(dec.intrinsic.astype(np.float32)))
@@ -327,10 +326,11 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
 
 
 def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
+    sec = _section(cfg, "evaluate", ("bins", "mask_path"))
     u_vol = read_volume(out_dir / "u.rcv")
     pred = _dense_from_file(out_dir / "pred.rcv")
     truth = _truth_from(out_dir)
-    mask = _mask_from(cfg, u_vol.shape)
+    mask = _mask_from(sec, u_vol.shape)
     err = error_map(pred, truth, mask)
     curve = risk_coverage(err, u_vol, mask)
     u_masked = u_vol.scalar[mask.mask].astype(np.float64)
@@ -342,7 +342,7 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
         "random_aurc": curve.random_aurc,
         "naurc": curve.naurc,
         "mask_voxels": curve.n_voxels,
-        "bins": _number(_section(cfg, "evaluate"), "bins", 20),
+        "bins": _number(sec, "bins", 20),
     }
     write_volume(out_dir / "error.rcv", Volume3(err.values.astype(np.float32)))
     _write_json(out_dir / "metrics.json", metrics)
@@ -359,8 +359,7 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
-    sec = _section(cfg, "lemma")
-    _known_keys(sec, _LEMMA_KEYS, "lemma")
+    sec = _section(cfg, "lemma", _LEMMA_KEYS)
     grid = _shape(sec.get("grid", [16, 16, 16]), "grid")
     n_mc = _number(sec, "n_mc", 2000)
     phi = _phi_from(sec, grid)
@@ -423,6 +422,7 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
 
 def _phi_from(sec: dict, grid) -> Transform:
     phi = _object(sec.get("phi", {"kind": "translation", "offset": [1.5, -0.75, 0.5]}), "'phi'")
+    _known_keys(phi, ("kind", "offset", "matrix"), "phi")
     kind = phi.get("kind", "translation")
     if kind == "affine" and "matrix" not in phi:
         raise ConfigError("affine phi needs a 'matrix'")

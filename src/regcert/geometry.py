@@ -31,6 +31,7 @@ __all__ = [
     "trilinear_sample",
     "evaluate",
     "compose",
+    "dense",
     "invert",
     "invert_at",
     "jacobian_at",
@@ -402,6 +403,14 @@ def evaluate(t: Transform, p):
     pts, single = _as_points(p)
     out = t.apply(pts)
     return out[0] if single else out
+
+
+def dense(t: Transform, shape) -> DenseTransform:
+    """t sampled at the voxel centers of shape; a DenseTransform comes back as it is."""
+    if isinstance(t, DenseTransform):
+        return t
+    grid = grid_points(shape).reshape(-1, 3)
+    return DenseTransform((t.apply(grid) - grid).reshape(tuple(shape) + (3,)))
 
 
 def _domain_shape_of(t: Transform):

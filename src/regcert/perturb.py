@@ -225,16 +225,17 @@ def _simulate_solver_real(spec: GtSpec, shape):
     src = make_phantom(shape, spec.phantom_kind, seed=spec.seed)
     other = make_phantom(shape, spec.phantom_kind, seed=spec.seed + 1)
     aff = affine_ssd_register(src, other)
-    aligned = warp(src, aff.affine)
+    aligned = warp(src, aff.transform)
     dem = demons_register(aligned, other)
-    total = compose(aff.affine, dem.transform, shape=shape)
+    total = compose(aff.transform, dem.transform, shape=shape)
     info = {
         "kind": "solver-real",
         "phantom_kind": spec.phantom_kind,
         "phantom_seeds": [spec.seed, spec.seed + 1],
         "stages": [
-            {"solver": "affine_ssd", "final_ssd": aff.final_ssd, "diverged": aff.diverged},
-            {"solver": "demons", "final_ssd": dem.final_ssd, "iterations": dem.iterations},
+            {"solver": solver, "final_ssd": reg.final_ssd, "diverged": reg.diverged,
+             "iterations": reg.iterations}
+            for solver, reg in (("affine_ssd", aff), ("demons", dem))
         ],
     }
     return total, info

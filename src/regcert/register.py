@@ -1,6 +1,6 @@
 """Registration backends: a noise-model oracle and two classical solvers.
 
-A backend maps a (source, target) pair to a dense transform from target
+A backend maps a (source, target) pair to a transform from target
 coordinates into source coordinates, so warping the source with the result
 reproduces the target.  The oracle backend skips the images entirely: given
 the true transform and a perturbation it returns the analytically correct
@@ -34,10 +34,8 @@ __all__ = [
     "RegistrationBackend",
     "ErrorModel",
     "OracleBackend",
-    "AffineSsdResult",
     "affine_ssd_register",
     "AffineSsdBackend",
-    "DemonsResult",
     "demons_register",
     "DemonsBackend",
     "TAU_SCALE_FUNCTIONS",
@@ -169,18 +167,26 @@ class ErrorModel:
 
 @dataclass(frozen=True)
 class Registration:
-    """One registration: the fitted transform and the solver's log, if any.
+    """One registration: the fitted transform, the solver's log and its health.
 
-    log holds one row per solver iteration; log_header names its columns.
+    The transform is in the solver's own form; geometry.dense renders it on a
+    grid.  log holds one row per solver iteration, log_header names its
+    columns, and iterations, final_ssd and diverged say how the solver ended
+    (a backend without a solver keeps the defaults).
     """
 
-    transform: DenseTransform
+    transform: Transform
     log: tuple = field(repr=False, default=())
     log_header: tuple = ()
+    iterations: int = 0
+    final_ssd: float | None = None
+    diverged: bool = False
 
 
 class RegistrationBackend:
-    """Maps a source/target pair to a dense target-to-source transform.
+    """Maps a source/target pair to a target-to-source Registration.
+
+    The transform comes in the solver's own form; geometry.dense renders it.
 
     reads_images says whether register looks at voxel values.  A backend
     that sets it False promises a result that depends on the images' shapes
@@ -265,17 +271,6 @@ def _image_gradient(arr: np.ndarray):
     return np.stack([gx, gy, gz], axis=-1)
 
 
-@dataclass(frozen=True)
-class AffineSsdResult:
-    """Fitted affine, its dense rendering, and solver diagnostics."""
-
-    transform: DenseTransform
-    affine: AffineTransform
-    final_ssd: float
-    diverged: bool
-    log: tuple = field(repr=False, default=())
-
-
 def _ssd_level(src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray,
                iters: int, step: float, level: int, log: list):
     """Diagonally preconditioned gradient descent on mean SSD at one level."""
@@ -349,7 +344,7 @@ def affine_ssd_register(
     levels: int = 3,
     iters: int = 80,
     step: float = 0.5,
-) -> AffineSsdResult:
+) -> Registration:
     """Fit y -> A y + b minimizing mean squared intensity difference.
 
     Multi-resolution (x2 decimation per level), 12 free parameters, descent
@@ -379,18 +374,8 @@ def affine_ssd_register(
         )
         diverged = diverged or div
         b = b_l * scale
-    affine = AffineTransform(a, b)
-    grid = grid_points(target.shape).reshape(-1, 3)
-    dense = DenseTransform((affine.apply(grid) - grid).reshape(target.shape + (3,)))
-    return AffineSsdResult(dense, affine, final_e, diverged, tuple(log))
-
-
-@dataclass(frozen=True)
-class DemonsResult:
-    transform: DenseTransform
-    final_ssd: float
-    iterations: int
-    log: tuple = field(repr=False, default=())
+    return Registration(AffineTransform(a, b), tuple(log), ("level", "iteration", "ssd", "step"),
+                        iterations=len(log), final_ssd=final_e, diverged=diverged)
 
 
 def demons_register(
@@ -398,7 +383,7 @@ def demons_register(
     target: Volume3,
     iters: int = 60,
     smooth_sigma: float = 1.0,
-) -> DemonsResult:
+) -> Registration:
     """Thirion demons with Gaussian field smoothing each iteration.
 
     Update per voxel: d <- d + (T - S(phi)) grad(S(phi)) /
@@ -431,7 +416,8 @@ def demons_register(
                 disp[..., ax] = gaussian_filter(disp[..., ax], sigma=smooth_sigma, mode="nearest")
         final_ssd = float(np.mean(diff * diff))
         log.append((it, final_ssd))
-    return DemonsResult(DenseTransform(disp), final_ssd, iters, tuple(log))
+    return Registration(DenseTransform(disp), tuple(log), ("iteration", "ssd"),
+                        iterations=iters, final_ssd=final_ssd)
 
 
 @dataclass(frozen=True)
@@ -443,10 +429,9 @@ class AffineSsdBackend(RegistrationBackend):
     name = "affine_ssd"
 
     def register(self, source, target, perturbation=None, nonce=0):
-        res = affine_ssd_register(
+        return affine_ssd_register(
             source, target, levels=self.levels, iters=self.iters, step=self.step
         )
-        return Registration(res.transform, res.log, ("level", "iteration", "ssd", "step"))
 
 
 @dataclass(frozen=True)
@@ -457,5 +442,4 @@ class DemonsBackend(RegistrationBackend):
     name = "demons"
 
     def register(self, source, target, perturbation=None, nonce=0):
-        res = demons_register(source, target, iters=self.iters, smooth_sigma=self.smooth_sigma)
-        return Registration(res.transform, res.log, ("iteration", "ssd"))
+        return demons_register(source, target, iters=self.iters, smooth_sigma=self.smooth_sigma)

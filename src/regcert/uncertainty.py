@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DenseTransform, Transform, grid_points, is_linear
+from .geometry import DenseTransform, Transform, dense, grid_points, is_linear
 from .perturb import PerturbSpec, sample_perturbation
 from .register import ErrorModel, OracleBackend, RegistrationBackend
 from .volume import Volume3, make_phantom, warp
@@ -116,7 +116,8 @@ def _one_sample(backend, source, target, spec, n):
     # A backend that never reads voxel values gets the source as it is.
     perturbed = warp(source, tau) if backend.reads_images else source
     try:
-        fitted = backend.register(perturbed, target, perturbation=tau, nonce=n).transform
+        reg = backend.register(perturbed, target, perturbation=tau, nonce=n)
+        fitted = dense(reg.transform, target.shape)
     except Exception as exc:
         msg = f"backend failed on perturbation sample {n}: {exc}"
         try:

@@ -463,17 +463,25 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
         ("lemma-check", {"lemma": {"grid": [6, 6], "checks": []}}, None),
         ("lemma-check", {"lemma": {"grid": [6, 6, 6], "checks": [], "mse": [3]}}, None),
         ("lemma-check", {"lemma": {"phi": "translation", "checks": []}}, None),
+        (
+            "lemma-check",
+            {"lemma": {"phi": {"kind": "translation", "ofset": [3, 0, 0]}, "checks": []}},
+            "'ofset'",
+        ),
         ("lemma-check", {"lemma": {"grid": [6, 6, 6], "checks": ["kind"]}}, None),
         ("lemma-check", {"lemma": {"checks": [{"kind": "translation", "n_mc": "many"}]}}, None),
         ("simulate-pair", {"shape": [8, 8, 8], "phantom": {"seed": "x"}}, None),
         ("simulate-pair", {"shape": [8, 8, 8]}, "shape"),
         ("simulate-pair", {"shape": [16, 16, 16], "phantom": {"kind": "noise"}}, "'noise'"),
         ("simulate-pair", {"shape": [16, 16, 16], "gt": {"cout": 3}}, "'cout'"),
+        ("simulate-pair", {"shape": [16, 16, 16], "phantom": {"kind": "blobs", "sed": 2}}, "'sed'"),
         ("estimate", {"perturb": {"cout": 500}, "backend": {"kind": "oracle"}}, "'cout'"),
         ("estimate", {"backend": {"kind": "affine_ssd", "iter": 2}}, "'iter'"),
         ("estimate", {"backend": {"kind": "demons", "sigma": 1.0}}, "'sigma'"),
         ("estimate", {"backend": {"kind": "oracle", "error_modle": {}}}, "'error_modle'"),
         ("estimate", oracle_est_cfg(count=4, estimate={"unbiased": "false"}), "'unbiased'"),
+        ("estimate", oracle_est_cfg(count=4, estimate={"unbaised": True}), "'unbaised'"),
+        ("evaluate", {"evaluate": {"bin": 5}}, "'bin'"),
         (
             "estimate",
             {"perturb": {"count": 4}, "backend": {"kind": "oracle", "error_model": {"sigam": 0.5}}},
@@ -512,17 +520,21 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
         "grid",
         "mse-entry",
         "phi",
+        "phi-key",
         "check-entry",
         "n_mc",
         "phantom-seed",
         "phantom-shape",
         "phantom-kind",
         "gt-key",
+        "phantom-key",
         "perturb-key",
         "affine-ssd-key",
         "demons-key",
         "oracle-key",
         "unbiased",
+        "estimate-key",
+        "evaluate-key",
         "oracle-model-key",
         "lemma-key",
         "check-key",

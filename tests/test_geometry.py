@@ -18,6 +18,7 @@ from regcert.geometry import (
     TranslationTransform,
     bspline_control_shape,
     compose,
+    dense,
     evaluate,
     grid_points,
     identity_transform,
@@ -260,6 +261,19 @@ def test_compose_is_associative_on_affines(seed):
     # on the central block where small maps cannot reach the clamped edge.
     d = np.abs(left.displacement - right.displacement)[2:6, 2:6, 2:6]
     assert np.max(d) < 1e-9
+
+
+def test_dense_keeps_a_field_and_samples_other_transforms_at_the_grid():
+    rng = np.random.default_rng(8)
+    shape = (6, 7, 5)
+    field = DenseTransform(rng.standard_normal(shape + (3,)))
+    assert dense(field, shape) is field
+    control = rng.uniform(-1.0, 1.0, size=bspline_control_shape(shape, 3) + (3,))
+    g = grid_points(shape).reshape(-1, 3)
+    for t in (small_affine(rng), BSplineTransform(3, control, shape)):
+        d = dense(t, shape)
+        assert isinstance(d, DenseTransform) and d.shape == shape
+        assert np.max(np.abs(d.apply(g) - t.apply(g))) < 1e-12
 
 
 def test_compose_needs_shape_for_analytic_inner():

@@ -213,6 +213,10 @@ def test_solver_real_gt_records_both_stages():
     gt, info = simulate_gt_with_info(GtSpec("solver-real", seed=2), (16, 16, 16))
     assert isinstance(gt, DenseTransform)
     assert [s["solver"] for s in info["stages"]] == ["affine_ssd", "demons"]
+    for stage in info["stages"]:
+        assert isinstance(stage["final_ssd"], float)
+        assert isinstance(stage["diverged"], bool)
+        assert isinstance(stage["iterations"], int)
     assert info["phantom_seeds"] == [2, 3]
     assert np.all(np.isfinite(gt.displacement))
 

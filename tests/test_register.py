@@ -4,6 +4,8 @@ Solver bounds are frozen from reference runs on the blobs phantom; they are
 regression tests, not statements about solver quality in general.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from regcert.geometry import (
     AffineTransform,
     TranslationTransform,
     compose,
+    dense,
     grid_points,
     identity_transform,
 )
@@ -194,7 +197,7 @@ def test_oracle_noise_variance_matches_model():
 def test_affine_ssd_identity_pair_is_identity():
     src = make_phantom((32, 32, 32), "blobs", seed=0)
     r = affine_ssd_register(src, src)
-    assert float(np.abs(r.transform.displacement).max()) < 0.1
+    assert float(np.abs(dense(r.transform, src.shape).displacement).max()) < 0.1
     assert not r.diverged
 
 
@@ -202,8 +205,8 @@ def test_affine_ssd_recovers_translation():
     src = make_phantom((32, 32, 32), "blobs", seed=0)
     gt = TranslationTransform((4.0, -3.0, 2.0))
     r = affine_ssd_register(src, warp(src, gt))
-    assert np.max(np.abs(r.affine.offset - gt.offset)) < 0.5
-    assert np.max(np.abs(r.affine.matrix - np.eye(3))) < 1e-3
+    assert np.max(np.abs(r.transform.offset - gt.offset)) < 0.5
+    assert np.max(np.abs(r.transform.matrix - np.eye(3))) < 1e-3
     assert not r.diverged
     # The log tracks (level, iteration, ssd, step) and SSD never worsens.
     ssds = [row[2] for row in r.log]
@@ -216,7 +219,7 @@ def test_affine_ssd_recovers_scale():
     c = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
     gt = AffineTransform.center_fixed(np.diag([1.1, 1.1, 1.1]), c)
     r = affine_ssd_register(src, warp(src, gt))
-    assert np.max(np.abs(np.diag(r.affine.matrix) - 1.1)) < 0.02
+    assert np.max(np.abs(np.diag(r.transform.matrix) - 1.1)) < 0.02
 
 
 def test_affine_ssd_validation():
@@ -280,7 +283,7 @@ def test_demons_validation():
 def test_backend_wrappers_expose_names_and_register():
     src = make_phantom((16, 16, 16), "blobs", seed=0)
     for backend in (AffineSsdBackend(levels=2, iters=5, step=0.5), DemonsBackend(iters=5)):
-        out = backend.register(src, src, perturbation=None, nonce=0).transform
+        out = dense(backend.register(src, src, perturbation=None, nonce=0).transform, src.shape)
         assert out.shape == (16, 16, 16)
         assert np.all(np.isfinite(out.displacement))
     assert AffineSsdBackend().name == "affine_ssd"
@@ -289,12 +292,24 @@ def test_backend_wrappers_expose_names_and_register():
 
 
 def test_registration_carries_the_solver_log():
+    def same(reg, direct):
+        # Transforms compare by their arrays; every other field by value.
+        assert replace(reg, transform=None) == replace(direct, transform=None)
+        assert np.array_equal(dense(reg.transform, src.shape).displacement,
+                              dense(direct.transform, src.shape).displacement)
+
     src = make_phantom((16, 16, 16), "blobs", seed=0)
     reg = AffineSsdBackend(levels=2, iters=5, step=0.5).register(src, src)
-    assert reg.log == affine_ssd_register(src, src, levels=2, iters=5, step=0.5).log
+    same(reg, affine_ssd_register(src, src, levels=2, iters=5, step=0.5))
+    assert isinstance(reg.transform, AffineTransform)
     assert reg.log_header == ("level", "iteration", "ssd", "step")
+    assert reg.iterations == len(reg.log) > 0
+    assert isinstance(reg.final_ssd, float) and reg.diverged is False
     reg = DemonsBackend(iters=5).register(src, src)
-    assert reg.log == demons_register(src, src, iters=5).log
+    same(reg, demons_register(src, src, iters=5))
     assert reg.log_header == ("iteration", "ssd")
+    assert reg.iterations == 5 == len(reg.log)
+    assert reg.final_ssd == reg.log[-1][1] and reg.diverged is False
     reg = OracleBackend(PHI, ErrorModel()).register(blank((6, 6, 6)), blank((6, 6, 6)))
     assert reg.log == () and reg.log_header == ()
+    assert (reg.iterations, reg.final_ssd, reg.diverged) == (0, None, False)
