@@ -16,11 +16,9 @@ from .geometry import (
     TranslationTransform,
     compose,
     dense,
-    evaluate,
     grid_points,
     identity_transform,
     invert,
-    jacobian_at,
 )
 from .metrics import (
     ErrorMap,
@@ -32,7 +30,7 @@ from .metrics import (
     risk_coverage,
     spearman,
 )
-from .perturb import GtSpec, PerturbSpec, sample_perturbation, simulate_gt, simulate_gt_with_info
+from .perturb import GtSpec, PerturbSpec, sample_perturbation, simulate_gt_with_info
 from .register import (
     AffineSsdBackend,
     DemonsBackend,
@@ -59,7 +57,6 @@ from .volume import (
     make_phantom,
     read_nifti,
     read_volume,
-    sample_trilinear,
     warp,
     write_volume,
 )

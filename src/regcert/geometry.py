@@ -29,29 +29,15 @@ __all__ = [
     "is_linear",
     "grid_points",
     "trilinear_sample",
-    "evaluate",
     "compose",
     "dense",
     "invert",
     "invert_at",
-    "jacobian_at",
 ]
 
 
 class ConvergenceError(RuntimeError):
     """An iterative scheme failed to reach its tolerance."""
-
-
-def _as_points(p) -> tuple[np.ndarray, bool]:
-    """Coerce a point or point array to shape (N, 3); flag single-point input."""
-    pts = np.asarray(p, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected points of shape (3,) or (N, 3), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("invalid point: non-finite coordinates")
-    return pts, single
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -270,11 +256,6 @@ class BSplineTransform(Transform):
         win = np.lib.stride_tricks.sliding_window_view(self.control, (4, 4, 4), axis=(0, 1, 2))
         self._cells = _frozen(np.moveaxis(win, 3, -1).reshape(-1, 4, 48))
 
-    @classmethod
-    def zeros(cls, domain_shape, grid_spacing: int):
-        shape = bspline_control_shape(domain_shape, grid_spacing)
-        return cls(grid_spacing, np.zeros(shape + (3,)), domain_shape)
-
     _CHUNK = 65536
 
     def _base_and_frac(self, pts):
@@ -398,13 +379,6 @@ def identity_transform() -> TranslationTransform:
     return TranslationTransform((0.0, 0.0, 0.0))
 
 
-def evaluate(t: Transform, p):
-    """Evaluate t at a point (3,) or batch (N, 3) of points."""
-    pts, single = _as_points(p)
-    out = t.apply(pts)
-    return out[0] if single else out
-
-
 def dense(t: Transform, shape) -> DenseTransform:
     """t sampled at the voxel centers of shape; a DenseTransform comes back as it is."""
     if isinstance(t, DenseTransform):
@@ -513,21 +487,3 @@ def invert(t: Transform, tol: float = 1e-3, max_iter: int = 50) -> InversionResu
     inv = DenseTransform((positions - grid).reshape(tuple(shape) + (3,)))
     return InversionResult(inv, residual, iterations)
 
-
-def jacobian_at(t: Transform, p, return_flag: bool = False):
-    """Spatial Jacobian of t at a point or batch of points.
-
-    Analytic for translations (identity), affines (the matrix), and
-    B-splines (basis derivatives); central finite differences with a
-    1-voxel step for dense fields.  With ``return_flag`` the result also
-    reports whether any stencil was clamped one-sided at the boundary.
-    """
-    pts, single = _as_points(p)
-    if isinstance(t, DenseTransform):
-        jac, flags = t.jacobian_with_flags(pts)
-        flag = bool(flags.any())
-    else:
-        jac = t.jacobian(pts)
-        flag = False
-    out = jac[0] if single else jac
-    return (out, flag) if return_flag else out

@@ -11,7 +11,7 @@ distinct from 0 and emitted as "undefined" downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.stats import rankdata
@@ -191,7 +191,8 @@ class MseDecompositionReport:
     """Empirical mean squared residual against its bias/variance identity.
 
     For the oracle's Gaussian residuals, E||eps||^2 = ||mu||^2 + tr Sigma
-    per voxel; the report carries both sides and their agreement.
+    per voxel; the report carries both sides and their agreement, and
+    passed says whether the mean squared residuals agree within the band.
     """
 
     empirical: np.ndarray = field(repr=False)
@@ -201,15 +202,11 @@ class MseDecompositionReport:
     mean_expected: float
     median_rel_error: float
     chi2_rel_std: float
+    passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "draws": self.draws,
-            "mean_empirical": self.mean_empirical,
-            "mean_expected": self.mean_expected,
-            "median_rel_error": self.median_rel_error,
-            "chi2_rel_std": self.chi2_rel_std,
-        }
+        """Every field but the per-voxel arrays."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def mse_decomposition_check(
@@ -219,8 +216,9 @@ def mse_decomposition_check(
 
     chi2_rel_std is the per-voxel relative standard deviation of the
     empirical mean, sqrt(Var(||eps||^2)/draws)/E||eps||^2 with
-    Var(||eps||^2) = 2 tr(Sigma^2) + 4 mu^T Sigma mu; bands in tests come
-    from it.
+    Var(||eps||^2) = 2 tr(Sigma^2) + 4 mu^T Sigma mu.  passed requires the
+    mean empirical value within max(3 chi2_rel_std, 5%) of the expected one
+    (5% when chi2_rel_std is undefined).
     """
     if not isinstance(oracle, OracleBackend):
         raise TypeError("mse decomposition check requires the oracle backend")
@@ -248,12 +246,15 @@ def mse_decomposition_check(
     chi2_rel_std = (
         math.sqrt(var_per_draw / draws) / mean_expected if mean_expected > 0 else math.nan
     )
+    mean_empirical = float(empirical.mean())
+    band = max(3.0 * chi2_rel_std, 0.05) if math.isfinite(chi2_rel_std) else 0.05
     return MseDecompositionReport(
         empirical=empirical,
         expected=expected,
         draws=draws,
-        mean_empirical=float(empirical.mean()),
+        mean_empirical=mean_empirical,
         mean_expected=mean_expected,
         median_rel_error=float(np.median(rel)),
         chi2_rel_std=chi2_rel_std,
+        passed=abs(mean_empirical - mean_expected) <= band * max(mean_expected, 1e-12),
     )

@@ -28,7 +28,6 @@ __all__ = [
     "PerturbSpec",
     "GtSpec",
     "sample_perturbation",
-    "simulate_gt",
     "simulate_gt_with_info",
 ]
 
@@ -261,8 +260,3 @@ def simulate_gt_with_info(spec: GtSpec, shape) -> tuple[Transform, dict]:
     if spec.kind == "deform2":
         return _simulate_deform2(spec, shape)
     return _simulate_solver_real(spec, shape)
-
-
-def simulate_gt(spec: GtSpec, shape) -> Transform:
-    """Draw a ground-truth transform; see simulate_gt_with_info for metadata."""
-    return simulate_gt_with_info(spec, shape)[0]

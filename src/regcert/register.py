@@ -402,7 +402,6 @@ def demons_register(
     src = source.scalar
     disp = np.zeros(shape + (3,), dtype=np.float64)
     log = []
-    final_ssd = np.inf
     for it in range(iters):
         warped = trilinear_sample(src, grid + disp.reshape(-1, 3)).reshape(shape)
         diff = tgt - warped
@@ -414,10 +413,12 @@ def demons_register(
         if smooth_sigma > 0:
             for ax in range(3):
                 disp[..., ax] = gaussian_filter(disp[..., ax], sigma=smooth_sigma, mode="nearest")
-        final_ssd = float(np.mean(diff * diff))
-        log.append((it, final_ssd))
+        log.append((it, float(np.mean(diff * diff))))
+    # The log rows describe the field each update started from; final_ssd
+    # describes the field that is returned.
+    final = tgt - trilinear_sample(src, grid + disp.reshape(-1, 3)).reshape(shape)
     return Registration(DenseTransform(disp), tuple(log), ("iteration", "ssd"),
-                        iterations=iters, final_ssd=final_ssd)
+                        iterations=iters, final_ssd=float(np.mean(final * final)))
 
 
 @dataclass(frozen=True)

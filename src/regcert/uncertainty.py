@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -103,12 +103,7 @@ class UncertaintyResult:
     uncertainty: Volume3
     n_samples: int
     divisor: str
-    spec: PerturbSpec
-    backend_name: str
     wall_time_s: float
-
-    def cov_matrices(self) -> np.ndarray:
-        return tri_to_matrices(self.cov)
 
 
 def _one_sample(backend, source, target, spec, n):
@@ -181,8 +176,6 @@ def estimate_uncertainty(
         uncertainty=Volume3(u.astype(np.float32)),
         n_samples=n_total,
         divisor="n-1" if unbiased else "n",
-        spec=spec,
-        backend_name=getattr(backend, "name", type(backend).__name__),
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -294,21 +287,8 @@ class LemmaCheckReport:
     rel_error: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_samples": self.n_samples,
-            "grid_shape": list(self.grid_shape),
-            "strength": self.strength,
-            "median_rel_error": float(self.median_rel_error),
-            "max_rel_error_central": float(self.max_rel_error_central),
-            "mc_bound": float(self.mc_bound),
-            "tolerance": float(self.tolerance),
-            "within_tolerance": bool(self.within_tolerance),
-            "regime_violation": bool(self.regime_violation),
-            "passed": bool(self.passed),
-            "max_inversion_residual": float(self.max_inversion_residual),
-            "note": self.note,
-        }
+        """Every field but the per-voxel array."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def relative_frobenius(emp: np.ndarray, closed: np.ndarray) -> np.ndarray:
@@ -366,7 +346,6 @@ def verify_lemma(
     strength: float = 0.08,
     grid_spacing: int = 10,
     node_max: float = 12.5,
-    tolerance: float | None = None,
 ) -> LemmaCheckReport:
     """Run the estimator against its closed form on shared perturbation draws.
 
@@ -405,7 +384,7 @@ def verify_lemma(
     median = float(np.median(rel))
     central = float(rel[_central_box(shape)].max())
     mc = mc_relative_bound(n_mc)
-    tol = tolerance if tolerance is not None else mc + (0.05 if is_deform else 0.0)
+    tol = mc + (0.05 if is_deform else 0.0)
     within = median <= tol
     regime = is_deform and strength > REGIME_STRENGTH_MAX
     if not is_deform:

@@ -22,7 +22,6 @@ __all__ = [
     "VolumeFormatError",
     "Volume3",
     "RoiMask",
-    "sample_trilinear",
     "warp",
     "make_phantom",
     "read_volume",
@@ -119,17 +118,6 @@ class RoiMask:
     @property
     def count(self) -> int:
         return int(self.mask.sum())
-
-
-def sample_trilinear(volume: Volume3, pts) -> np.ndarray:
-    """Trilinear sample with clamp-to-edge; (N, C) values, or (C,) for one point."""
-    p = np.asarray(pts, dtype=np.float64)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("invalid point: non-finite coordinates")
-    vals = trilinear_sample(volume.data, p)
-    return vals[0] if single else vals
 
 
 def warp(volume: Volume3, t: Transform) -> Volume3:

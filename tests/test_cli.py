@@ -225,24 +225,6 @@ def test_estimate_solver_backend_skips_decomposition(tmp_path):
     assert not (out / "jitter.rcv").exists()
 
 
-def test_estimate_debug_writes_solver_log_for_solver_backend(tmp_path):
-    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
-    cfg = write_cfg(
-        tmp_path,
-        "est.json",
-        {
-            "perturb": {"count": 4},
-            "backend": {"kind": "affine_ssd", "levels": 2, "iters": 2, "step": 0.3},
-            "debug": True,
-        },
-    )
-    rc = main(["estimate", "--config", cfg, "--out", str(out)])
-    assert rc == 0
-    log = (out / "solver_log.csv").read_text().splitlines()
-    assert log[0] == "level,iteration,ssd,step"
-    assert len(log) > 1
-
-
 @pytest.mark.parametrize(
     "backend, header",
     [
@@ -262,9 +244,9 @@ def test_estimate_writes_solver_log_for_solver_backend(tmp_path, backend, header
     assert all(len(row.split(",")) == len(header.split(",")) for row in log)
 
 
-def test_estimate_debug_with_oracle_backend_writes_no_log(tmp_path):
+def test_estimate_with_oracle_backend_writes_no_log(tmp_path):
     out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
-    cfg = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4, debug=True))
+    cfg = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
     rc = main(["estimate", "--config", cfg, "--out", str(out)])
     assert rc == 0
     assert not (out / "solver_log.csv").exists()
@@ -514,6 +496,7 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
             ]}},
             "'sigam'",
         ),
+        ("simulate-pair", {"sead": 5}, "'sead'"),
     ],
     ids=[
         "seed",
@@ -541,6 +524,7 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
         "check-model-key",
         "mse-key",
         "mse-model-key",
+        "top-level-key",
     ],
 )
 def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):

@@ -19,12 +19,10 @@ from regcert.geometry import (
     bspline_control_shape,
     compose,
     dense,
-    evaluate,
     grid_points,
     identity_transform,
     invert,
     invert_at,
-    jacobian_at,
     trilinear_sample,
 )
 from regcert.geometry import _bspline_dweights, _bspline_weights
@@ -109,21 +107,6 @@ def test_grid_points_layout():
     assert np.array_equal(g[0, 0, 0], [0.0, 0.0, 0.0])
 
 
-def test_evaluate_single_and_batch_shapes():
-    t = TranslationTransform((1.0, 2.0, 3.0))
-    assert evaluate(t, (0.0, 0.0, 0.0)).shape == (3,)
-    assert evaluate(t, np.zeros((5, 3))).shape == (5, 3)
-    assert np.allclose(evaluate(t, (1.0, 1.0, 1.0)), [2.0, 3.0, 4.0])
-
-
-def test_non_finite_point_rejected():
-    t = identity_transform()
-    with pytest.raises(ValueError, match="invalid point"):
-        evaluate(t, (np.nan, 0.0, 0.0))
-    with pytest.raises(ValueError, match="invalid point"):
-        evaluate(t, (np.inf, 0.0, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # dense interpolation vs the nested-lerp oracle
 
@@ -186,7 +169,7 @@ def test_translation_apply_and_jacobian():
     t = TranslationTransform((1.5, -0.75, 0.5))
     p = np.array([2.0, 3.0, 4.0])
     assert np.array_equal(t.apply(p), [3.5, 2.25, 4.5])
-    assert np.array_equal(jacobian_at(t, p), np.eye(3))
+    assert np.array_equal(t.jacobian(p[None])[0], np.eye(3))
 
 
 def test_affine_apply_matches_matrix_arithmetic():
@@ -195,7 +178,7 @@ def test_affine_apply_matches_matrix_arithmetic():
     pts = rng.standard_normal((50, 3))
     want = pts @ t.matrix.T + t.offset
     assert np.max(np.abs(t.apply(pts) - want)) < 1e-12
-    assert np.array_equal(jacobian_at(t, pts[0]), t.matrix)
+    assert np.array_equal(t.jacobian(pts[:1])[0], t.matrix)
 
 
 @pytest.mark.parametrize("pts_shape", [(3,), (1, 3), (50, 3)])
@@ -438,12 +421,6 @@ def test_dense_jacobian_boundary_flagged_one_sided():
     assert flags.all()
     _, flags = dense.jacobian_with_flags(np.array([[2.0, 3.0, 3.0]]))
     assert not flags.any()
-
-
-def test_jacobian_at_with_flag():
-    j, flag = jacobian_at(DenseTransform.identity((6, 6, 6)), (0.0, 0.0, 0.0), return_flag=True)
-    assert np.allclose(j, np.eye(3))
-    assert flag
 
 
 # ---------------------------------------------------------------------------

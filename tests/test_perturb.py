@@ -26,7 +26,6 @@ from regcert.perturb import (
     PerturbSpec,
     _deform2_attempt,
     sample_perturbation,
-    simulate_gt,
     simulate_gt_with_info,
 )
 
@@ -206,7 +205,7 @@ def test_deform2_resample_exhaustion_raises():
     # Full-strength layers fold the domain, so every redraw fails and the
     # simulator must say so rather than hand back a non-invertible truth.
     with pytest.raises(ConvergenceError, match="not invertible within"):
-        simulate_gt(GtSpec("deform2", seed=0, node_max=60.0, max_resample=2), (16, 16, 16))
+        simulate_gt_with_info(GtSpec("deform2", seed=0, node_max=60.0, max_resample=2), (16, 16, 16))
 
 
 def test_solver_real_gt_records_both_stages():

@@ -16,6 +16,7 @@ from regcert.geometry import (
     dense,
     grid_points,
     identity_transform,
+    trilinear_sample,
 )
 from regcert.perturb import PerturbSpec, sample_perturbation
 from regcert.register import (
@@ -266,6 +267,18 @@ def test_demons_halves_endpoint_error_on_smooth_warp():
     epe1 = np.linalg.norm(g + r.transform.displacement.reshape(-1, 3) - true_pos, axis=1).mean()
     assert 1.0 - epe1 / epe0 >= 0.5
     assert r.iterations == 60
+
+
+def test_demons_final_ssd_describes_the_returned_field():
+    src = make_phantom((16, 16, 16), "blobs", seed=0)
+    tgt = warp(src, TranslationTransform((1.5, 0.0, 0.0)))
+    reg = demons_register(src, tgt, iters=1)
+    g = grid_points(src.shape).reshape(-1, 3)
+    warped = trilinear_sample(src.scalar, reg.transform.apply(g))
+    want = float(np.mean((tgt.scalar.astype(np.float64).ravel() - warped) ** 2))
+    assert reg.final_ssd == pytest.approx(want, rel=1e-12)
+    # The one log row describes the identity field the update started from.
+    assert reg.final_ssd < reg.log[0][1]
 
 
 def test_demons_validation():

@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from regcert.geometry import TranslationTransform
+from regcert.geometry import TranslationTransform, trilinear_sample
 from regcert.volume import (
     RoiMask,
     Volume3,
@@ -18,7 +18,6 @@ from regcert.volume import (
     make_phantom,
     read_nifti,
     read_volume,
-    sample_trilinear,
     warp,
     write_volume,
 )
@@ -102,7 +101,7 @@ def test_sample_trilinear_matches_nested_lerp_oracle():
     rng = np.random.default_rng(0)
     vol = Volume3(rng.random((5, 6, 7)))
     pts = rng.uniform(-1.0, 7.5, size=(300, 3))
-    got = sample_trilinear(vol, pts)[:, 0]
+    got = trilinear_sample(vol.data, pts)[:, 0]
     data = vol.scalar.astype(np.float64)
     want = np.array([lerp_sample_oracle(data, p) for p in pts])
     assert np.max(np.abs(got - want)) < 1e-6
@@ -112,9 +111,9 @@ def test_sample_trilinear_exact_at_centers_and_clamped_outside():
     rng = np.random.default_rng(1)
     vol = Volume3(rng.random((4, 4, 4)))
     centers = np.argwhere(np.ones((4, 4, 4))).astype(np.float64)
-    got = sample_trilinear(vol, centers)[:, 0]
+    got = trilinear_sample(vol.data, centers)[:, 0]
     assert np.array_equal(got.astype(np.float32), vol.scalar.ravel())
-    outside = sample_trilinear(vol, np.array([[-5.0, 0.0, 0.0], [9.0, 3.0, 3.0]]))[:, 0]
+    outside = trilinear_sample(vol.data, np.array([[-5.0, 0.0, 0.0], [9.0, 3.0, 3.0]]))[:, 0]
     assert outside[0] == vol.scalar[0, 0, 0]
     assert outside[1] == vol.scalar[3, 3, 3]
 
