@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .geometry import DenseTransform, Transform, grid_points, identity_transform
 from .register import OracleBackend
@@ -99,10 +98,26 @@ def pearson(a, b, mask: RoiMask | None = None) -> float:
     return float((xc * yc).sum() / (sx * sy))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; each tie group shares the mean of its ranks.
+
+    Ties are decided by ``==``, so -0.0 and 0.0 tie.  The ranks are exact
+    half-integers, equal to SciPy's ``rankdata(x)`` with its default "average" method.
+    """
+    order = np.argsort(x)
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.arange(x.size)
+    s = x[order]
+    starts = np.concatenate(([True], s[1:] != s[:-1]))
+    group = np.cumsum(starts)[inverse]  # 1-based tie group of each element
+    bounds = np.append(np.flatnonzero(starts), x.size)  # group g spans sorted [bounds[g-1], bounds[g])
+    return 0.5 * (bounds[group - 1] + bounds[group] + 1)
+
+
 def spearman(a, b, mask: RoiMask | None = None) -> float:
     """Rank correlation with average ranks for ties; NaN on constant input."""
     x, y = _masked_pair(a, b, mask)
-    return pearson(rankdata(x), rankdata(y))
+    return pearson(_average_ranks(x), _average_ranks(y))
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,30 @@ def test_module_help_runs_as_subprocess():
     assert "lemma-check" in proc.stdout
 
 
+def test_pair_stages_never_import_scipy_stats(tmp_path):
+    # scipy.stats costs more start-up than the rest of the package together,
+    # and every stage is its own process; a lazy import would hide from a
+    # check on `import regcert.cli` alone, so the child runs all three stages.
+    out = tmp_path / "pair"
+    sim = write_cfg(tmp_path, "sim.json", base_sim_cfg(shape=[16, 16, 16]))
+    est = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
+    ev = write_cfg(tmp_path, "ev.json", {})
+    child = (
+        "import json, sys\n"
+        "from regcert.cli import main\n"
+        "sim, est, ev, out = sys.argv[1:]\n"
+        "for cmd, cfg in (('simulate-pair', sim), ('estimate', est), ('evaluate', ev)):\n"
+        "    assert main([cmd, '--config', cfg, '--out', out]) == 0, cmd\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats'])))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, sim, est, ev, str(out)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert isinstance(json.loads((out / "metrics.json").read_text())["spearman"], float)
+
+
 # ---------------------------------------------------------------------------
 # simulate-pair
 

@@ -11,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+# The reference for the average ranks; only the tests load scipy.stats
+# (see test_pair_stages_never_import_scipy_stats).
+from scipy.stats import rankdata
 
 from regcert.geometry import DenseTransform, TranslationTransform, grid_points
 from regcert.metrics import (
     ErrorMap,
+    _average_ranks,
     bin_curve,
     error_map,
     mse_decomposition_check,
@@ -131,6 +135,35 @@ def test_spearman_invariant_under_monotone_transform(a):
         assert math.isnan(r2)
     else:
         assert r1 == pytest.approx(r2, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [3.0, 1.0, 4.0, 1.5, 9.0, 2.0],  # no ties
+        [2.0, 2.0, 2.0, 2.0, 2.0],  # all equal
+        [5.0, 1.0, 5.0, 3.0, 1.0, 5.0, 0.5, 3.0],  # mixed tie groups
+        [7.0, -7.0],  # n = 2
+        [7.0, 7.0],  # n = 2, tied
+        [0.0, -0.0, 1.0, -1.0, -0.0],  # -0.0 ties with 0.0
+        [4.0, 1.0, 3.0, 1.0, 2.0, 4.0, 4.0],  # integer-valued floats
+    ],
+)
+def test_average_ranks_match_scipy_rankdata(x):
+    x = np.array(x)
+    assert np.array_equal(_average_ranks(x), rankdata(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=5).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40)
+    )
+)
+def test_average_ranks_match_scipy_rankdata_with_duplicates(values):
+    # at most 5 distinct values, so longer draws always hold ties
+    x = np.array(values)
+    assert np.array_equal(_average_ranks(x), rankdata(x))
 
 
 # ---------------------------------------------------------------------------
