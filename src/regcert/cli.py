@@ -319,6 +319,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
             "backend": backend_echo,
             "perturb_spec": asdict(spec),
             "n_samples": result.n_samples,
+            "n_clamped": result.n_clamped,
             "divisor": result.divisor,
             "unbiased": unbiased,
             "seed": seed,

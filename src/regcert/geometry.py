@@ -13,6 +13,7 @@ zero field.  Sampling anywhere uses clamp-to-edge boundary handling.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,50 +57,74 @@ def grid_points(shape) -> np.ndarray:
     return g
 
 
+# Points per block in the point kernels (trilinear_sample, BSplineTransform):
+# small enough that a block's temporaries stay in a core's L2 cache.
+_BLOCK = 8192
+
+
 def trilinear_sample(field: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Sample a (nx, ny, nz[, C]) field at (N, 3) points, clamp-to-edge.
 
     Exact at voxel centers: integer coordinates return stored values
     untouched.  Accumulation is float64 regardless of the field dtype.
+
+    Points are taken in blocks of ``_BLOCK`` through buffers allocated once
+    per call; each point's arithmetic is its own, so a point's value does not
+    depend on the batch it comes in.
     """
     scalar = field.ndim == 3
     data = field[..., None] if scalar else field
     shape = data.shape[:3]
     rows = data.reshape(-1, data.shape[3])
     strides = (shape[1] * shape[2], shape[2], 1)
+    # A corner's flat index is the lower corner's plus a constant: the upper
+    # neighbour is one stride up, or the voxel itself on a size-1 axis.
+    up = [strides[ax] if shape[ax] > 1 else 0 for ax in range(3)]
 
-    idx0 = []
-    idx1 = []
-    frac = []
-    for ax in range(3):
-        n = shape[ax]
-        x = np.clip(pts[:, ax], 0.0, n - 1.0)
-        if n == 1:
-            i0 = np.zeros(len(x), dtype=np.intp)
-        else:
-            i0 = np.minimum(np.floor(x).astype(np.intp), n - 2)
-        i1 = np.minimum(i0 + 1, n - 1)
-        idx0.append(i0 * strides[ax])
-        idx1.append(i1 * strides[ax])
-        frac.append(x - i0)
-
-    tx, ty, tz = frac
-    out = np.zeros((len(pts), rows.shape[1]), dtype=np.float64)
-    vals = np.empty(out.shape, dtype=rows.dtype)
+    n = len(pts)
+    out = np.zeros((n, rows.shape[1]), dtype=np.float64)
+    b = min(n, _BLOCK)
+    x = np.empty(b)
+    i0 = np.empty(b, dtype=np.intp)
+    base = np.empty(b, dtype=np.intp)
+    idx = np.empty(b, dtype=np.intp)
+    # w[ax] holds the lower and upper weights (1 - t, t) along axis ax.
+    w = np.empty((3, 2, b))
+    wxy = np.empty(b)
+    wc = np.empty(b)
+    vals = np.empty((b, rows.shape[1]), dtype=rows.dtype)
     # Products are taken in float64 whatever the field dtype.
-    prod = vals if rows.dtype == np.float64 else np.empty_like(out)
-    idx = np.empty(len(pts), dtype=np.intp)
-    for cx, wx in ((idx0[0], 1.0 - tx), (idx1[0], tx)):
-        for cy, wy in ((idx0[1], 1.0 - ty), (idx1[1], ty)):
-            wxy = wx * wy
-            cxy = cx + cy
-            for cz, wz in ((idx0[2], 1.0 - tz), (idx1[2], tz)):
-                np.add(cxy, cz, out=idx)
-                # Indices are in range by construction; mode="clip" avoids
-                # the temporary copy of ``out`` that mode="raise" makes.
-                rows.take(idx, axis=0, out=vals, mode="clip")
-                np.multiply((wxy * wz)[:, None], vals, out=prod)
-                out += prod
+    prod = vals if rows.dtype == np.float64 else np.empty((b, rows.shape[1]))
+    for s in range(0, n, _BLOCK):
+        p = pts[s : s + _BLOCK]
+        m = len(p)
+        x_, i0_, base_, idx_ = x[:m], i0[:m], base[:m], idx[:m]
+        w_, wxy_, wc_ = w[:, :, :m], wxy[:m], wc[:m]
+        vals_, prod_, acc = vals[:m], prod[:m], out[s : s + m]
+        base_.fill(0)
+        for ax in range(3):
+            np.clip(p[:, ax], 0.0, shape[ax] - 1.0, out=x_)
+            if shape[ax] == 1:
+                i0_.fill(0)
+            else:
+                i0_[...] = np.floor(x_)
+                np.minimum(i0_, shape[ax] - 2, out=i0_)
+            np.subtract(x_, i0_, out=w_[ax, 1])
+            np.subtract(1.0, w_[ax, 1], out=w_[ax, 0])
+            base_ += i0_ * strides[ax]
+        for dx, dy, dz in itertools.product((0, 1), repeat=3):
+            if dz == 0:
+                np.multiply(w_[0, dx], w_[1, dy], out=wxy_)
+            np.multiply(wxy_, w_[2, dz], out=wc_)
+            np.add(base_, dx * up[0] + dy * up[1] + dz * up[2], out=idx_)
+            # Indices are in range by construction; mode="clip" avoids
+            # the temporary copy of ``out`` that mode="raise" makes.
+            rows.take(idx_, axis=0, out=vals_, mode="clip")
+            # One long loop per channel, not a (b, 1) x (b, C) broadcast
+            # whose inner loop is C long.
+            for c in range(rows.shape[1]):
+                np.multiply(wc_, vals_[:, c], out=prod_[:, c])
+            acc += prod_
     return out[:, 0] if scalar else out
 
 
@@ -229,7 +254,9 @@ class BSplineTransform(Transform):
     Points are evaluated from a control table built once here: one contiguous
     (4, 48) row per lattice cell holding its 4x4x4 nodes, components last,
     (na-3)(nb-3)(nc-3)*192 float64 in all.  It cannot go stale: ``control``
-    is frozen.
+    is frozen.  Points are evaluated in blocks of ``_BLOCK``, which bounds a
+    block's (n, 4, 48) cell gather; a point's value does not depend on the
+    batch it comes in.
     """
 
     def __init__(self, grid_spacing: int, control_displacements, domain_shape):
@@ -256,8 +283,6 @@ class BSplineTransform(Transform):
         win = np.lib.stride_tricks.sliding_window_view(self.control, (4, 4, 4), axis=(0, 1, 2))
         self._cells = _frozen(np.moveaxis(win, 3, -1).reshape(-1, 4, 48))
 
-    _CHUNK = 65536
-
     def _base_and_frac(self, pts):
         h = float(self.grid_spacing)
         base = []
@@ -279,22 +304,22 @@ class BSplineTransform(Transform):
     def displacement(self, pts: np.ndarray) -> np.ndarray:
         """u(p) for (N, 3) points, shape (N, 3)."""
         out = np.empty((len(pts), 3), dtype=np.float64)
-        for s in range(0, len(pts), self._CHUNK):
-            block, frac = self._cells_at(pts[s : s + self._CHUNK])
-            out[s : s + self._CHUNK] = _contract([_bspline_weights(f) for f in frac], block)
+        for s in range(0, len(pts), _BLOCK):
+            block, frac = self._cells_at(pts[s : s + _BLOCK])
+            out[s : s + _BLOCK] = _contract([_bspline_weights(f) for f in frac], block)
         return out
 
     def displacement_jacobian(self, pts: np.ndarray) -> np.ndarray:
         """Du at each point (analytic), shape (N, 3, 3)."""
         h = float(self.grid_spacing)
         out = np.empty((len(pts), 3, 3), dtype=np.float64)
-        for s in range(0, len(pts), self._CHUNK):
-            block, frac = self._cells_at(pts[s : s + self._CHUNK])
+        for s in range(0, len(pts), _BLOCK):
+            block, frac = self._cells_at(pts[s : s + _BLOCK])
             w = [_bspline_weights(f) for f in frac]
             dw = [_bspline_dweights(f) / h for f in frac]
             combos = ((dw[0], w[1], w[2]), (w[0], dw[1], w[2]), (w[0], w[1], dw[2]))
             for ax, wt in enumerate(combos):
-                out[s : s + self._CHUNK, :, ax] = _contract(wt, block)
+                out[s : s + _BLOCK, :, ax] = _contract(wt, block)
         return out
 
     def apply(self, pts):

@@ -273,24 +273,35 @@ def _image_gradient(arr: np.ndarray):
 
 def _ssd_level(src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray,
                iters: int, step: float, level: int, log: list):
-    """Diagonally preconditioned gradient descent on mean SSD at one level."""
+    """Diagonally preconditioned gradient descent on mean SSD at one level.
+
+    Per-voxel quantities are contiguous (3, N) channel rows, so each sum over
+    voxels is a row reduction.
+    """
     shape = tgt.shape
-    grid = grid_points(shape).reshape(-1, 3)
     center = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
-    q = grid - center
+    q = np.ascontiguousarray((grid_points(shape).reshape(-1, 3) - center).T)
+    q2 = q * q
     tgt_flat = tgt.reshape(-1).astype(np.float64)
     # Intensity and gradient as one field, so a trial costs one gather.
     src_and_grad = np.empty(shape + (4,))
     src_and_grad[..., 0] = src
     src_and_grad[..., 1:] = _image_gradient(src.astype(np.float64))
-    m = len(grid)
+    m = q.shape[1]
+    pos = np.empty((3, m))
 
     def objective(a_, b_):
-        # einsum, not BLAS, for the K=3 products (see AffineTransform.apply).
-        pos = np.einsum("nj,ij->ni", q, a_) + center + b_
-        sampled = trilinear_sample(src_and_grad, pos)
-        r = sampled[:, 0] - tgt_flat
-        return sampled[:, 1:], r, float(np.mean(r * r))
+        # One row per axis, not a BLAS product (see AffineTransform.apply);
+        # trilinear_sample reads pos.T, an (N, 3) view of the rows.
+        for i in range(3):
+            np.multiply(q[0], a_[i, 0], out=pos[i])
+            pos[i] += a_[i, 1] * q[1]
+            pos[i] += a_[i, 2] * q[2]
+            pos[i] += center[i]
+            pos[i] += b_[i]
+        sampled = np.ascontiguousarray(trilinear_sample(src_and_grad, pos.T).T)
+        r = sampled[0] - tgt_flat
+        return sampled[1:], r, float(np.mean(r * r))
 
     u = b + a @ center - center  # offset in the centered parameterization
     g, r, e = objective(a, u)
@@ -299,13 +310,15 @@ def _ssd_level(src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray,
     increases = 0
     diverged = False
     for it in range(iters):
-        rg = r[:, None] * g
-        grad_a = np.einsum("ni,nj->ij", 2.0 / m * rg, q)
-        grad_u = 2.0 / m * rg.sum(axis=0)
+        rg = g * r
+        grad_u = 2.0 / m * rg.sum(axis=1)
+        rg *= 2.0 / m
+        grad_a = np.einsum("in,jn->ij", rg, q)
         # Gauss-Newton diagonal as a per-parameter scale.
         g2 = g * g
-        h_u = 2.0 / m * g2.sum(axis=0)
-        h_a = np.einsum("ni,nj->ij", 2.0 / m * g2, q * q)
+        h_u = 2.0 / m * g2.sum(axis=1)
+        g2 *= 2.0 / m
+        h_a = np.einsum("in,jn->ij", g2, q2)
         floor = 1e-12 * max(float(h_a.max()), float(h_u.max()), 1e-300)
         new_a = a - eta * grad_a / np.maximum(h_a, floor)
         new_u = u - eta * grad_u / np.maximum(h_u, floor)

@@ -95,7 +95,8 @@ class UncertaintyResult:
     """Per-voxel spread of the back-mapped re-registrations.
 
     cov holds the 6 upper-triangle components (xx, xy, xz, yy, yz, zz) of
-    the per-voxel sample covariance; uncertainty is its root trace.
+    the per-voxel sample covariance; uncertainty is its root trace, clamped
+    to 0 at the n_clamped voxels where rounding leaves the trace negative.
     """
 
     mean: DenseTransform
@@ -104,6 +105,7 @@ class UncertaintyResult:
     n_samples: int
     divisor: str
     wall_time_s: float
+    n_clamped: int
 
 
 def _one_sample(backend, source, target, spec, n):
@@ -163,8 +165,6 @@ def estimate_uncertainty(
 
     shape = target.shape
     denom = n_total - 1 if unbiased else n_total
-    if unbiased and n_total < 2:
-        raise ValueError("unbiased covariance needs at least 2 samples")
     mean_pos, cov = moments.finalize(denom)
     grid = grid_points(shape).reshape(-1, 3)
     mean_field = DenseTransform((mean_pos - grid).reshape(shape + (3,)))
@@ -177,6 +177,7 @@ def estimate_uncertainty(
         n_samples=n_total,
         divisor="n-1" if unbiased else "n",
         wall_time_s=time.perf_counter() - t0,
+        n_clamped=int(np.count_nonzero(trace < 0.0)),
     )
 
 

@@ -197,6 +197,7 @@ def test_estimate_writes_maps_and_echoes_config(tmp_path, capsys):
     assert meta["perturb_spec"]["family"] == "translation"
     assert meta["perturb_spec"]["count"] == 12
     assert meta["n_samples"] == 12
+    assert meta["n_clamped"] == 0
     assert meta["divisor"] == "n"
     assert meta["unbiased"] is False
     assert meta["threads"] == 1

@@ -25,6 +25,7 @@ from regcert.geometry import (
     invert_at,
     trilinear_sample,
 )
+from regcert import geometry
 from regcert.geometry import _bspline_dweights, _bspline_weights
 
 
@@ -139,15 +140,22 @@ def test_dense_sampling_exact_at_voxel_centers():
 def test_trilinear_sample_bitwise_matches_fancy_index_oracle(shape, channels, dtype):
     rng = np.random.default_rng(11)
     field = rng.standard_normal(shape + ((channels,) if channels else ())).astype(dtype)
-    # Points inside, outside the domain on every side, and at exact voxel
-    # coordinates (integers, including the last index of each axis).
-    pts = rng.uniform(-2.0, 9.0, size=(300, 3))
-    pts[:60] = rng.integers(0, shape, size=(60, 3))
-    pts[60] = np.asarray(shape) - 1.0
-    got = trilinear_sample(field, pts)
-    want = fancy_index_trilinear_oracle(field, pts)
-    assert got.dtype == np.float64 and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    # Two full blocks and a partial third.  Points inside, outside the domain
+    # on every side, and at exact voxel coordinates (integers, including the
+    # last index of each axis), also on either side of each block boundary.
+    n = 5 * geometry._BLOCK // 2 + 3
+    pts = rng.uniform(-2.0, 9.0, size=(n, 3))
+    exact = rng.random(n) < 0.2
+    pts[exact] = rng.integers(0, shape, size=(int(exact.sum()), 3))
+    for s in range(geometry._BLOCK, n, geometry._BLOCK):
+        pts[s - 1] = np.asarray(shape) - 1.0
+        pts[s] = rng.integers(0, shape)
+        pts[s + 1] = (-2.0, 9.5, -0.25)
+    for p in (pts, pts[:0]):
+        got = trilinear_sample(field, p)
+        want = fancy_index_trilinear_oracle(field, p)
+        assert got.dtype == np.float64 and got.shape == want.shape == (len(p),) + field.shape[3:]
+        assert got.tobytes() == want.tobytes()
 
 
 def test_dense_identity_is_identity():
@@ -376,10 +384,25 @@ def test_bspline_matches_64_node_reference(lattice):
 def test_bspline_chunking_is_bitwise_invisible(lattice, monkeypatch):
     t, pts = _bspline_case(lattice, 15)
     whole = (t.displacement(pts), t.displacement_jacobian(pts))
-    monkeypatch.setattr(BSplineTransform, "_CHUNK", 7)
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
     chunked = (t.displacement(pts), t.displacement_jacobian(pts))
     for a, b in zip(whole, chunked):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lattice", sorted(BSPLINE_LATTICES))
+def test_bspline_point_value_does_not_depend_on_its_batch(lattice):
+    t, probes = _bspline_case(lattice, 16)
+    rng = np.random.default_rng(17)
+    # More than two blocks: the probes, then points in and around the domain.
+    n = 2 * geometry._BLOCK + 1000
+    hi = np.array(t.domain_shape, dtype=np.float64) - 1.0
+    pts = np.concatenate([probes, rng.uniform(-3.0, hi + 3.0, size=(n - len(probes), 3))])
+    # The subset fits in one block, so its points come back in another block
+    # or at another place in the first.
+    sel = rng.permutation(n)[: n // 3]
+    for f in (t.displacement, t.displacement_jacobian):
+        assert f(pts)[sel].tobytes() == f(pts[sel]).tobytes()
 
 
 def test_bspline_spacing_validation():

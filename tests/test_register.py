@@ -19,6 +19,7 @@ from regcert.geometry import (
     trilinear_sample,
 )
 from regcert.perturb import PerturbSpec, sample_perturbation
+from regcert import register
 from regcert.register import (
     TAU_SCALE_FUNCTIONS,
     AffineSsdBackend,
@@ -28,6 +29,7 @@ from regcert.register import (
     affine_ssd_register,
     demons_register,
 )
+from regcert.register import _image_gradient
 from regcert.volume import Volume3, make_phantom, warp
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
@@ -221,6 +223,94 @@ def test_affine_ssd_recovers_scale():
     gt = AffineTransform.center_fixed(np.diag([1.1, 1.1, 1.1]), c)
     r = affine_ssd_register(src, warp(src, gt))
     assert np.max(np.abs(np.diag(r.transform.matrix) - 1.1)) < 0.02
+
+
+def row_major_ssd_level(src, tgt, a, b, iters, step, level, log):
+    """The solver level with (N, 3) point rows and per-iteration q * q.
+
+    Same steps as register._ssd_level; only the order of the sums differs.
+    """
+    shape = tgt.shape
+    grid = grid_points(shape).reshape(-1, 3)
+    center = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
+    q = grid - center
+    tgt_flat = tgt.reshape(-1).astype(np.float64)
+    src_and_grad = np.empty(shape + (4,))
+    src_and_grad[..., 0] = src
+    src_and_grad[..., 1:] = _image_gradient(src.astype(np.float64))
+    m = len(grid)
+
+    def objective(a_, b_):
+        pos = np.einsum("nj,ij->ni", q, a_) + center + b_
+        sampled = trilinear_sample(src_and_grad, pos)
+        r = sampled[:, 0] - tgt_flat
+        return sampled[:, 1:], r, float(np.mean(r * r))
+
+    u = b + a @ center - center
+    g, r, e = objective(a, u)
+    best_a, best_u, best_e = a.copy(), u.copy(), e
+    eta = step
+    increases = 0
+    diverged = False
+    for it in range(iters):
+        rg = r[:, None] * g
+        grad_a = np.einsum("ni,nj->ij", 2.0 / m * rg, q)
+        grad_u = 2.0 / m * rg.sum(axis=0)
+        g2 = g * g
+        h_u = 2.0 / m * g2.sum(axis=0)
+        h_a = np.einsum("ni,nj->ij", 2.0 / m * g2, q * q)
+        floor = 1e-12 * max(float(h_a.max()), float(h_u.max()), 1e-300)
+        new_a = a - eta * grad_a / np.maximum(h_a, floor)
+        new_u = u - eta * grad_u / np.maximum(h_u, floor)
+        g_n, r_n, e_n = objective(new_a, new_u)
+        if e_n <= e:
+            improvement = e - e_n
+            a, u, g, r, e = new_a, new_u, g_n, r_n, e_n
+            eta = min(eta * 1.2, 1.0)
+            increases = 0
+            if e < best_e:
+                best_a, best_u, best_e = a.copy(), u.copy(), e
+            if e < 1e-14 or improvement < 1e-10 * max(e, 1e-30):
+                log.append((level, it, e, eta))
+                break
+        else:
+            eta *= 0.5
+            if e_n > best_e * 1.05 + 1e-12:
+                increases += 1
+        log.append((level, it, e, eta))
+        if increases >= 10:
+            diverged = True
+            break
+        if eta < 1e-8:
+            break
+    return best_a, best_u - best_a @ center + center, best_e, diverged
+
+
+def test_affine_ssd_matches_row_major_reference(monkeypatch):
+    shape = (24, 24, 24)
+    src = make_phantom(shape, "blobs", seed=0)
+    c = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
+    gt = AffineTransform.center_fixed(
+        [[1.06, 0.02, 0.0], [-0.01, 0.97, 0.03], [0.0, 0.01, 1.03]], c, (1.2, -0.8, 0.5)
+    )
+    # Noise on the target keeps the SSD away from 0, where it is a
+    # cancellation and any change of summation order moves it relatively more.
+    noise = 0.02 * np.random.default_rng(1).standard_normal(shape)
+    tgt = Volume3((warp(src, gt).scalar + noise).astype(np.float32))
+    got = affine_ssd_register(src, tgt, levels=2, iters=40)
+    monkeypatch.setattr(register, "_ssd_level", row_major_ssd_level)
+    want = affine_ssd_register(src, tgt, levels=2, iters=40)
+    for x, y in ((got.transform.matrix, want.transform.matrix),
+                 (got.transform.offset, want.transform.offset)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+    assert [(row[0], row[1], row[3]) for row in got.log] == [
+        (row[0], row[1], row[3]) for row in want.log
+    ]
+    ssd = np.array([row[2] for row in got.log])
+    np.testing.assert_allclose(ssd, [row[2] for row in want.log], rtol=1e-12, atol=0)
+    assert got.final_ssd == pytest.approx(want.final_ssd, rel=1e-12)
+    assert got.diverged == want.diverged
+    assert len(got.log) > 20
 
 
 def test_affine_ssd_validation():

@@ -130,6 +130,33 @@ def test_estimate_bitwise_deterministic_and_thread_invariant():
     assert a.wall_time_s > 0
 
 
+def test_n_clamped_counts_the_negative_traces(monkeypatch):
+    def trace(cov):
+        return cov[..., 0] + cov[..., 3] + cov[..., 5]
+
+    shape = (6, 6, 6)
+    backend = OracleBackend(PHI, ErrorModel.isotropic(0.3, seed=1))
+    spec = spec_for("affine", shape, count=5)
+    # The sums are centred on the first draw, so a variance is at least 1/N of
+    # the mean squared offset and rounding leaves no trace negative.
+    res = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
+    assert res.n_clamped == np.count_nonzero(trace(res.cov) < 0.0) == 0
+
+    finalize = uncertainty._Moments.finalize
+
+    def dented(self, divisor):
+        mean, cov = finalize(self, divisor)
+        cov[::7, 0] = -1e-3 - cov[::7, 3] - cov[::7, 5]
+        cov[1::7] = 0.0  # a zero trace is not clamped
+        return mean, cov
+
+    monkeypatch.setattr(uncertainty._Moments, "finalize", dented)
+    res = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
+    negative = trace(res.cov) < 0.0
+    assert res.n_clamped == np.count_nonzero(negative) == len(range(0, 216, 7))
+    assert np.all(res.uncertainty.scalar[negative] == 0.0)
+
+
 def test_unbiased_divisor_rescales_covariance():
     shape = (6, 6, 6)
     backend = OracleBackend(PHI, ErrorModel.isotropic(0.3, seed=1))
