@@ -320,6 +320,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
             "perturb_spec": asdict(spec),
             "n_samples": result.n_samples,
             "n_clamped": result.n_clamped,
+            "max_inversion_residual": result.max_inversion_residual,
             "divisor": result.divisor,
             "unbiased": unbiased,
             "seed": seed,

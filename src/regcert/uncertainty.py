@@ -97,6 +97,8 @@ class UncertaintyResult:
     cov holds the 6 upper-triangle components (xx, xy, xz, yy, yz, zz) of
     the per-voxel sample covariance; uncertainty is its root trace, clamped
     to 0 at the n_clamped voxels where rounding leaves the trace negative.
+    max_inversion_residual is the largest Registration.inversion_residual
+    over the samples (0.0 for backends that invert nothing).
     """
 
     mean: DenseTransform
@@ -106,9 +108,15 @@ class UncertaintyResult:
     divisor: str
     wall_time_s: float
     n_clamped: int
+    max_inversion_residual: float
 
 
-def _one_sample(backend, source, target, spec, n):
+def _one_sample(backend, source, target, spec, n, observe):
+    """(back-mapped positions, inversion residual, observe's value or None).
+
+    Neither tau nor the Registration leaves this call: whatever of them the
+    caller needs, observe extracts here, in the worker.
+    """
     tau = sample_perturbation(spec, n)
     # A backend that never reads voxel values gets the source as it is.
     perturbed = warp(source, tau) if backend.reads_images else source
@@ -125,7 +133,8 @@ def _one_sample(backend, source, target, spec, n):
         raise wrapped from exc
     grid = grid_points(fitted.shape).reshape(-1, 3)
     # Compose tau o fitted with tau evaluated analytically at fitted(y).
-    return tau.apply(grid + fitted.displacement.reshape(-1, 3))
+    x = tau.apply(grid + fitted.displacement.reshape(-1, 3))
+    return x, reg.inversion_residual, None if observe is None else observe(n, tau, reg)
 
 
 def estimate_uncertainty(
@@ -135,6 +144,8 @@ def estimate_uncertainty(
     spec: PerturbSpec,
     unbiased: bool = False,
     threads: int = 1,
+    observe=None,
+    reduce=None,
 ) -> UncertaintyResult:
     """Perturb, re-register, back-map, and reduce to per-voxel statistics.
 
@@ -142,26 +153,42 @@ def estimate_uncertainty(
     in sample order in 64-bit, so results are independent of thread count.
     The covariance divisor is N (the estimator's own convention); pass
     unbiased=True for N-1.
+
+    observe(n, tau, reg) runs in the worker next to sample n's back-map and
+    sees its perturbation and Registration; reduce(value) receives its
+    results on the calling thread in sample order.  Give both or neither.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if (observe is None) != (reduce is None):
+        raise ValueError("observe and reduce go together")
     t0 = time.perf_counter()
     n_total = spec.count
     moments = _Moments()
+    max_residual = 0.0
+
+    def add(sample):
+        nonlocal max_residual
+        x, residual, observed = sample
+        moments.add(x)
+        max_residual = max(max_residual, residual)
+        if reduce is not None:
+            reduce(observed)
+
     if threads == 1:
         for n in range(n_total):
-            moments.add(_one_sample(backend, source, target, spec, n))
+            add(_one_sample(backend, source, target, spec, n, observe))
     else:
         chunk = max(4 * threads, 8)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for start in range(0, n_total, chunk):
                 idx = range(start, min(start + chunk, n_total))
                 futures = [
-                    pool.submit(_one_sample, backend, source, target, spec, n)
+                    pool.submit(_one_sample, backend, source, target, spec, n, observe)
                     for n in idx
                 ]
                 for f in futures:
-                    moments.add(f.result())
+                    add(f.result())
 
     shape = target.shape
     denom = n_total - 1 if unbiased else n_total
@@ -178,6 +205,7 @@ def estimate_uncertainty(
         divisor="n-1" if unbiased else "n",
         wall_time_s=time.perf_counter() - t0,
         n_clamped=int(np.count_nonzero(trace < 0.0)),
+        max_inversion_residual=max_residual,
     )
 
 
@@ -214,10 +242,8 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
     if m_samples > spec.count:
         raise ValueError(f"m_samples {m_samples} exceeds spec.count {spec.count}")
     shape = spec.shape
-    grid = grid_points(shape).reshape(-1, 3)
-    n_vox = len(grid)
-    phi_pos = backend.true_transform.apply(grid)
-    intr = np.zeros((n_vox, 6), dtype=np.float64)
+    grid, phi_pos = backend.target_points(shape)
+    intr = np.zeros((len(grid), 6), dtype=np.float64)
     jitter = _Moments()
     max_residual = 0.0
     for m in range(m_samples):
@@ -315,26 +341,26 @@ def mc_relative_bound(n_samples: int) -> float:
     return float(2.5 / np.sqrt(n_samples))
 
 
-def _linearized_cov(backend: OracleBackend, spec: PerturbSpec) -> tuple[np.ndarray, float]:
-    """Covariance of the first-order model J_tau(y) eps on shared draws.
+def _estimate_and_linearize(
+    backend: OracleBackend, source: Volume3, target: Volume3, spec: PerturbSpec
+) -> tuple[UncertaintyResult, np.ndarray]:
+    """The estimate and the covariance of the first-order model J_tau(v) eps.
 
-    Reuses both the perturbation streams and the oracle's noise streams
-    (same seed and nonce), so the difference from the empirical covariance
-    is the Taylor remainder of the linearization alone, with the
-    Monte-Carlo sampling noise cancelled by common random numbers.
+    One pass over the draws: each sample's tau, its inversion v =
+    tau^-1(phi(y)) and its noise stream (same seed and nonce) feed both
+    sides, so the difference between them is the Taylor remainder of the
+    linearization alone, with the Monte-Carlo sampling noise cancelled by
+    common random numbers.
     """
-    shape = spec.shape
-    grid = grid_points(shape).reshape(-1, 3)
-    phi_pos = backend.true_transform.apply(grid)
-    moments = _Moments()
-    max_residual = 0.0
-    for m in range(spec.count):
-        tau = sample_perturbation(spec, m)
-        v, residual = backend.inverse_positions(tau, phi_pos)
-        max_residual = max(max_residual, residual)
-        eps = backend.error_model.sample(tau, grid, m)
-        moments.add(np.einsum("nij,nj->ni", tau.jacobian(v), eps))
-    return moments.finalize(spec.count)[1].reshape(shape + (6,)), max_residual
+    grid, _ = backend.target_points(target.shape)
+    lin = _Moments()
+
+    def linearize(n, tau, reg):
+        eps = backend.error_model.sample(tau, grid, n)
+        return np.einsum("nij,nj->ni", tau.jacobian(reg.inverted_positions), eps)
+
+    est = estimate_uncertainty(backend, source, target, spec, observe=linearize, reduce=lin.add)
+    return est, lin.finalize(spec.count)[1].reshape(target.shape + (6,))
 
 
 def verify_lemma(
@@ -373,12 +399,13 @@ def verify_lemma(
     else:
         source = Volume3(np.zeros(shape, dtype=np.float32))
     target = warp(source, phi)
-    backend = OracleBackend(phi, model, lenient_inversion=(kind == "deform"))
-    est = estimate_uncertainty(backend, source, target, spec)
     is_deform = kind == "deform"
+    backend = OracleBackend(phi, model, lenient_inversion=is_deform)
     if is_deform:
-        closed, max_residual = _linearized_cov(backend, spec)
+        est, closed = _estimate_and_linearize(backend, source, target, spec)
+        max_residual = est.max_inversion_residual
     else:
+        est = estimate_uncertainty(backend, source, target, spec)
         dec = decompose_cov(backend, spec, n_mc)
         closed, max_residual = dec.total, dec.max_inversion_residual
     rel = relative_frobenius(est.cov, closed)

@@ -198,6 +198,7 @@ def test_estimate_writes_maps_and_echoes_config(tmp_path, capsys):
     assert meta["perturb_spec"]["count"] == 12
     assert meta["n_samples"] == 12
     assert meta["n_clamped"] == 0
+    assert meta["max_inversion_residual"] == 0.0
     assert meta["divisor"] == "n"
     assert meta["unbiased"] is False
     assert meta["threads"] == 1
@@ -248,6 +249,16 @@ def test_estimate_solver_backend_skips_decomposition(tmp_path):
     assert (out / "u.rcv").is_file()
     assert not (out / "intrinsic.rcv").exists()
     assert not (out / "jitter.rcv").exists()
+    assert json.loads((out / "estimate.json").read_text())["max_inversion_residual"] == 0.0
+
+
+def test_estimate_reports_the_oracle_inversion_residual(tmp_path):
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    cfg = write_cfg(tmp_path, "est.json", oracle_est_cfg(perturb={"family": "deform", "count": 3}))
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+    residual = json.loads((out / "estimate.json").read_text())["max_inversion_residual"]
+    # The CLI's oracle inverts strictly: a residual above 10 * tol would have raised.
+    assert 0.0 < residual <= 1e-2
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from regcert.uncertainty import (
     tri_to_matrices,
     verify_lemma,
 )
-from regcert.uncertainty import _TRI, _linearized_cov, _Moments
+from regcert.uncertainty import _TRI, _estimate_and_linearize, _Moments
 from regcert.volume import Volume3, make_phantom, warp
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
@@ -460,10 +460,116 @@ def test_linearized_model_is_exact_for_translations():
     shape = (6, 6, 6)
     spec = spec_for("translation", shape, count=40)
     backend = OracleBackend(PHI, ErrorModel.isotropic(0.2, mu=(0.3, 0.0, 0.0), seed=7))
-    est = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
-    lin, residual = _linearized_cov(backend, spec)
-    assert residual == 0.0
+    est, lin = _estimate_and_linearize(backend, blank(shape), blank(shape), spec)
+    assert est.max_inversion_residual == 0.0
     assert np.max(np.abs(est.cov - lin)) < 1e-12
+
+
+def _linearized_cov_two_pass(backend, spec):
+    """Reference: the first-order covariance drawn and inverted a second time."""
+    shape = spec.shape
+    grid = grid_points(shape).reshape(-1, 3)
+    phi_pos = backend.true_transform.apply(grid)
+    moments = _Moments()
+    max_residual = 0.0
+    for m in range(spec.count):
+        tau = sample_perturbation(spec, m)
+        v, residual = backend.inverse_positions(tau, phi_pos)
+        max_residual = max(max_residual, residual)
+        eps = backend.error_model.sample(tau, grid, m)
+        moments.add(np.einsum("nij,nj->ni", tau.jacobian(v), eps))
+    return moments.finalize(spec.count)[1].reshape(shape + (6,)), max_residual
+
+
+@pytest.mark.parametrize("strength", [0.08, 0.3])
+def test_one_pass_linearization_is_bitwise_the_two_pass_one(strength):
+    shape = (8, 8, 8)
+    spec = spec_for("deform", shape, count=20, deform_strength=strength)
+    model = ErrorModel.isotropic(0.2, mu=(0.3, 0.0, 0.0), seed=7)
+    backend = OracleBackend(PHI, model, lenient_inversion=True)
+    est, lin = _estimate_and_linearize(backend, blank(shape), blank(shape), spec)
+    ref, ref_residual = _linearized_cov_two_pass(
+        OracleBackend(PHI, model, lenient_inversion=True), spec
+    )
+    assert lin.tobytes() == ref.tobytes()
+    assert est.max_inversion_residual == ref_residual
+    assert ref_residual > 0.0
+
+
+def test_max_inversion_residual_is_the_largest_sample_residual():
+    shape = (8, 8, 8)
+    spec = spec_for("deform", shape, count=12, deform_strength=0.3)
+    backend = OracleBackend(PHI, ErrorModel.isotropic(0.2, seed=3), lenient_inversion=True)
+    est = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
+    phi_pos = PHI.apply(grid_points(shape).reshape(-1, 3))
+    want = max(
+        backend.inverse_positions(sample_perturbation(spec, n), phi_pos)[1]
+        for n in range(spec.count)
+    )
+    assert want > 0.0
+    assert est.max_inversion_residual == want
+    src = make_phantom((16, 16, 16), "blobs", seed=0)
+    solver = estimate_uncertainty(AffineSsdBackend(levels=1, iters=2), src, src,
+                                  spec_for("translation", (16, 16, 16), count=3))
+    assert solver.max_inversion_residual == 0.0
+
+
+def test_observer_results_reduce_in_sample_order_at_any_thread_count():
+    shape = (8, 8, 8)
+    spec = spec_for("deform", shape, count=11)
+    backend = OracleBackend(PHI, ErrorModel.isotropic(0.2, seed=4), lenient_inversion=True)
+
+    def observe(n, tau, reg):
+        return n, reg.inverted_positions.sum()
+
+    runs, seen = {}, {}
+    for threads in (1, 3):
+        seen[threads] = []
+        runs[threads] = estimate_uncertainty(backend, blank(shape), blank(shape), spec,
+                                             threads=threads, observe=observe,
+                                             reduce=seen[threads].append)
+        assert [n for n, _ in seen[threads]] == list(range(spec.count))
+    assert seen[1] == seen[3]
+    plain = estimate_uncertainty(backend, blank(shape), blank(shape), spec, threads=3)
+    for other in (runs[3], plain):
+        assert other.cov.tobytes() == runs[1].cov.tobytes()
+        assert other.mean.displacement.tobytes() == runs[1].mean.displacement.tobytes()
+        assert other.max_inversion_residual == runs[1].max_inversion_residual
+
+
+def test_observe_and_reduce_go_together():
+    shape = (4, 4, 4)
+    backend = OracleBackend(PHI, ErrorModel())
+    for kw in ({"observe": lambda n, tau, reg: n}, {"reduce": print}):
+        with pytest.raises(ValueError, match="go together"):
+            estimate_uncertainty(backend, blank(shape), blank(shape),
+                                 spec_for("translation", shape, count=2), **kw)
+
+
+def test_deform_lemma_draws_and_inverts_each_perturbation_once(monkeypatch):
+    from regcert import geometry, perturb, register
+
+    calls = {"sample": 0, "inverse": 0, "invert_at": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    sample = counting("sample", perturb.sample_perturbation)
+    for module in (perturb, uncertainty):
+        monkeypatch.setattr(module, "sample_perturbation", sample)
+    invert_at = counting("invert_at", geometry.invert_at)
+    for module in (geometry, register):
+        monkeypatch.setattr(module, "invert_at", invert_at)
+    monkeypatch.setattr(OracleBackend, "inverse_positions",
+                        counting("inverse", OracleBackend.inverse_positions))
+    k = 7
+    rep = verify_lemma("deform", ErrorModel.isotropic(0.2, seed=7), PHI, (8, 8, 8),
+                       n_mc=k, strength=0.08)
+    assert rep.passed
+    assert calls == {"sample": k, "inverse": k, "invert_at": k}
 
 
 # ---------------------------------------------------------------------------
