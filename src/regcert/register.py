@@ -218,8 +218,7 @@ class OracleBackend(RegistrationBackend):
     The perturbation tau is supplied per call by the harness; its inverse is
     closed-form for linear transforms and fixed-point otherwise.  Noise is
     drawn per call from (error_model.seed, nonce), so samples are
-    reproducible regardless of evaluation order.  The target's voxel grid
-    and phi on it are computed once per target shape (target_points).
+    reproducible regardless of evaluation order.
     """
 
     name = "oracle"
@@ -234,24 +233,6 @@ class OracleBackend(RegistrationBackend):
         self.true_transform = true_transform
         self.error_model = error_model
         self.lenient_inversion = bool(lenient_inversion)
-        self._target = None  # (shape, grid, phi(grid)) of the last target shape
-
-    def target_points(self, shape) -> tuple[np.ndarray, np.ndarray]:
-        """(grid, phi(grid)) at a target shape's voxels, both (V, 3) and read-only.
-
-        Cached for the last shape asked for.  The cache is one tuple bound in
-        one step, so worker threads share it without a lock; a race at worst
-        computes the same arrays twice.
-        """
-        shape = tuple(int(s) for s in shape)
-        bound = self._target
-        if bound is None or bound[0] != shape:
-            grid = grid_points(shape).reshape(-1, 3)
-            phi_pos = self.true_transform.apply(grid)
-            grid.flags.writeable = False
-            phi_pos.flags.writeable = False
-            bound = self._target = (shape, grid, phi_pos)
-        return bound[1], bound[2]
 
     def inverse_positions(self, tau: Transform, pts: np.ndarray) -> tuple[np.ndarray, float]:
         """tau^-1 evaluated at the given points, with the round-trip residual.
@@ -267,14 +248,15 @@ class OracleBackend(RegistrationBackend):
 
     def register(self, source, target, perturbation=None, nonce=0):
         shape = target.shape
-        grid, phi_pos = self.target_points(shape)
+        grid = grid_points(shape).reshape(-1, 3)
+        phi_pos = self.true_transform.apply(grid)
         if perturbation is None:
             positions, residual = phi_pos, 0.0
             tau_eff: Transform = identity_transform()
         else:
             positions, residual = self.inverse_positions(perturbation, phi_pos)
-            positions.flags.writeable = False
             tau_eff = perturbation
+        positions.flags.writeable = False
         eps = self.error_model.sample(tau_eff, grid, nonce)
         return Registration(DenseTransform((positions + eps - grid).reshape(shape + (3,))),
                             inverted_positions=positions, inversion_residual=residual)

@@ -242,8 +242,10 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
     if m_samples > spec.count:
         raise ValueError(f"m_samples {m_samples} exceeds spec.count {spec.count}")
     shape = spec.shape
-    grid, phi_pos = backend.target_points(shape)
-    intr = np.zeros((len(grid), 6), dtype=np.float64)
+    grid = grid_points(shape).reshape(-1, 3)
+    n_vox = len(grid)
+    phi_pos = backend.true_transform.apply(grid)
+    intr = np.zeros((n_vox, 6), dtype=np.float64)
     jitter = _Moments()
     max_residual = 0.0
     for m in range(m_samples):
@@ -352,7 +354,7 @@ def _estimate_and_linearize(
     linearization alone, with the Monte-Carlo sampling noise cancelled by
     common random numbers.
     """
-    grid, _ = backend.target_points(target.shape)
+    grid = grid_points(target.shape).reshape(-1, 3)
     lin = _Moments()
 
     def linearize(n, tau, reg):
