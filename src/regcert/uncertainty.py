@@ -234,6 +234,11 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
     Uses the same draw streams as estimate_uncertainty, so empirical and
     closed-form sides see identical perturbations.  Requires the oracle
     backend: only there is the error model known analytically.
+
+    For a linear family under an error model without mu_field, J, mu and
+    Sigma do not depend on y, so both terms are one row: it is computed at
+    one voxel and broadcast over the grid, bitwise equal to the per-voxel
+    loop that deform draws and mu_field models run.
     """
     if not isinstance(backend, OracleBackend):
         raise TypeError("decomposition requires analytic error model (oracle backend)")
@@ -244,8 +249,11 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
     shape = spec.shape
     grid = grid_points(shape).reshape(-1, 3)
     n_vox = len(grid)
+    one_row = spec.family != "deform" and backend.error_model.mu_field is None
+    if one_row:
+        grid = grid[:1]
     phi_pos = backend.true_transform.apply(grid)
-    intr = np.zeros((n_vox, 6), dtype=np.float64)
+    intr = np.zeros((len(grid), 6), dtype=np.float64)
     jitter = _Moments()
     max_residual = 0.0
     for m in range(m_samples):
@@ -263,9 +271,12 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
                 intr[:, k] += full[:, i, j]
         jitter.add(np.einsum("nij,nj->ni", jac, backend.error_model.mean(tau, grid)))
     intr /= m_samples
+    jit = jitter.finalize(m_samples)[1]
+    if one_row:
+        intr, jit = np.repeat(intr, n_vox, axis=0), np.repeat(jit, n_vox, axis=0)
     return CovDecomposition(
         intrinsic=intr.reshape(shape + (6,)),
-        jitter=jitter.finalize(m_samples)[1].reshape(shape + (6,)),
+        jitter=jit.reshape(shape + (6,)),
         n_samples=m_samples,
         max_inversion_residual=max_residual,
     )

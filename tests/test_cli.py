@@ -396,6 +396,19 @@ def test_lemma_check_passes_and_writes_report(tmp_path, capsys):
     assert report["mse"][0]["mean_expected"] == pytest.approx(1.0)
 
 
+def test_lemma_check_sweeps_deform_strength_one_row_each(tmp_path):
+    model = {"mu": [0.3, 0.0, 0.0], "sigma": 0.2, "seed": 7}
+    checks = [{"kind": "deform", "strength": s, "model": model} for s in (0.02, 0.08)]
+    cfg = write_cfg(tmp_path, "sweep.json", {"lemma": {"grid": [8, 8, 8], "n_mc": 20,
+                                                       "checks": checks}})
+    out = tmp_path / "sweep"
+    assert main(["lemma-check", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads((out / "lemma_report.json").read_text())["checks"]
+    assert [(r["kind"], r["strength"], r["n_samples"]) for r in rows] == [
+        ("deform", 0.02, 20), ("deform", 0.08, 20)
+    ]
+
+
 def test_lemma_check_failure_exits_two(tmp_path, capsys, monkeypatch):
     real = cli.verify_lemma
 

@@ -18,15 +18,6 @@ def load_script(name):
     return module
 
 
-def test_strength_sweep_writes_one_row_per_strength(tmp_path, capsys):
-    out = tmp_path / "sweep.json"
-    argv = ["--grid", "8", "8", "8", "--n-mc", "20", "--strengths", "0.08", "--json-out", str(out)]
-    assert load_script("strength_sweep").main(argv) == 0
-    rows = json.loads(out.read_text())
-    assert [(r["kind"], r["strength"], r["n_samples"]) for r in rows] == [("deform", 0.08, 20)]
-    assert f"wrote {out}" in capsys.readouterr().out
-
-
 def test_run_pipeline_runs_all_three_stages(tmp_path, capsys):
     cfg = {
         "shape": [16, 16, 16],

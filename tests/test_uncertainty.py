@@ -359,6 +359,35 @@ def test_deform_decomposition_equals_per_voxel_reference():
     assert np.array_equal(dec.jitter, jitter)
 
 
+@pytest.mark.parametrize(
+    "family, model_kind, points",
+    [("translation", "scaled-mu", 1), ("affine", "constant-mu", 1),
+     ("affine", "mu-field", 7 * 8 * 9), ("deform", "constant-mu", 7 * 8 * 9)],
+)
+def test_decomposition_inverts_one_point_only_where_the_closed_form_is_uniform(
+    monkeypatch, family, model_kind, points
+):
+    shape = (7, 8, 9)
+    sizes = []
+    inverse_positions = OracleBackend.inverse_positions
+
+    def counting(self, tau, pts):
+        sizes.append(len(pts))
+        return inverse_positions(self, tau, pts)
+
+    monkeypatch.setattr(OracleBackend, "inverse_positions", counting)
+    if model_kind == "constant-mu":
+        model = ErrorModel(mu=(0.5, 0.2, -0.1), sigma=_SIGMA)
+    else:
+        model = _reference_model(model_kind, shape)
+    backend = OracleBackend(PHI, model)
+    kw = {"deform_strength": 0.02} if family == "deform" else {}
+    dec = decompose_cov(backend, spec_for(family, shape, count=5, **kw), 5)
+    assert sizes == [points] * 5
+    assert dec.intrinsic.shape == dec.jitter.shape == shape + (6,)
+    assert dec.intrinsic.flags.writeable and dec.jitter.flags.writeable
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     family=st.sampled_from(("translation", "scale", "shear", "affine")),
