@@ -45,7 +45,6 @@ from .uncertainty import (
     CovDecomposition,
     LemmaCheckReport,
     UncertaintyResult,
-    closed_form_cov_affine,
     decompose_cov,
     estimate_uncertainty,
     verify_lemma,

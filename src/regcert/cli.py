@@ -94,12 +94,19 @@ def _section(cfg: dict, name: str, keys=None) -> dict:
     return sec
 
 
+def _convert(value, kind):
+    """value converted by kind; a boolean, or a non-integral value for int, raises."""
+    if isinstance(value, bool) or (kind is int and value != int(value)):
+        raise ValueError(f"not {kind.__name__}")
+    return kind(value)
+
+
 def _number(sec: dict, key: str, default, kind=int):
     """sec[key] (or the default) converted by kind; a bad value is a config error."""
     value = sec.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        return _convert(value, kind)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from exc
 
 
@@ -138,8 +145,8 @@ def _shape(shape, key: str) -> tuple[int, int, int]:
     if shape is None:
         raise ConfigError(f"config needs a {key!r} entry [nx, ny, nz]")
     try:
-        dims = tuple(int(s) for s in shape) if isinstance(shape, list) else ()
-    except (TypeError, ValueError):
+        dims = tuple(_convert(s, int) for s in shape) if isinstance(shape, list) else ()
+    except (TypeError, ValueError, OverflowError):
         dims = ()
     if len(dims) != 3 or min(dims) < 1:
         raise ConfigError(f"{key!r} must be a list of 3 positive integers, got {shape!r}")
@@ -194,7 +201,7 @@ def _build_error_model(sec: dict, seed: int) -> ErrorModel:
             sigma=sigma,
             mu_scale=sec.get("mu_scale"),
             sigma_scale=sec.get("sigma_scale"),
-            seed=int(sec.get("seed", seed)),
+            seed=_number(sec, "seed", seed),
             **kw,
         )
     except (TypeError, ValueError) as exc:
@@ -229,8 +236,9 @@ def _dense_from_file(path) -> DenseTransform:
     return DenseTransform(vol.data.astype(np.float64))
 
 
-def _dense_to_volume(t: DenseTransform) -> Volume3:
-    return Volume3(t.displacement.astype(np.float32))
+def _on_grid_of(ref: Volume3, data: np.ndarray) -> Volume3:
+    """data as a float32 volume with ref's spacing and origin."""
+    return Volume3(data.astype(np.float32), spacing=ref.spacing, origin=ref.origin)
 
 
 def _truth_from(out_dir: Path) -> Transform:
@@ -274,7 +282,7 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
     target = warp(source, gt)
     write_volume(out_dir / "source.rcv", source)
     write_volume(out_dir / "target.rcv", target)
-    write_volume(out_dir / "gt.rcv", _dense_to_volume(dense(gt, shape)))
+    write_volume(out_dir / "gt.rcv", _on_grid_of(source, dense(gt, shape).displacement))
     _write_json(
         out_dir / "gt.json",
         {
@@ -304,13 +312,14 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
     )
     pred = backend.register(source, target)
     write_volume(out_dir / "u.rcv", result.uncertainty)
-    write_volume(out_dir / "cov.rcv", Volume3(result.cov.astype(np.float32)))
-    write_volume(out_dir / "mean.rcv", _dense_to_volume(result.mean))
-    write_volume(out_dir / "pred.rcv", _dense_to_volume(dense(pred.transform, target.shape)))
+    write_volume(out_dir / "cov.rcv", _on_grid_of(target, result.cov))
+    write_volume(out_dir / "mean.rcv", _on_grid_of(target, result.mean.displacement))
+    pred_field = dense(pred.transform, target.shape).displacement
+    write_volume(out_dir / "pred.rcv", _on_grid_of(target, pred_field))
     if isinstance(backend, OracleBackend):
-        dec = decompose_cov(backend, spec, spec.count)
-        write_volume(out_dir / "intrinsic.rcv", Volume3(dec.intrinsic.astype(np.float32)))
-        write_volume(out_dir / "jitter.rcv", Volume3(dec.jitter.astype(np.float32)))
+        dec = decompose_cov(backend, spec)
+        write_volume(out_dir / "intrinsic.rcv", _on_grid_of(target, dec.intrinsic))
+        write_volume(out_dir / "jitter.rcv", _on_grid_of(target, dec.jitter))
     if pred.log:
         _write_csv(out_dir / "solver_log.csv", pred.log_header, pred.log)
     _write_json(
@@ -335,6 +344,9 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
 
 def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
     sec = _section(cfg, "evaluate", ("bins", "mask_path"))
+    bins = _number(sec, "bins", 20)
+    if bins < 1:
+        raise ConfigError(f"'bins' must be >= 1, got {bins}")
     u_vol = read_volume(out_dir / "u.rcv")
     pred = _dense_from_file(out_dir / "pred.rcv")
     truth = _truth_from(out_dir)
@@ -350,14 +362,14 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
         "random_aurc": curve.random_aurc,
         "naurc": curve.naurc,
         "mask_voxels": curve.n_voxels,
-        "bins": _number(sec, "bins", 20),
+        "bins": bins,
     }
-    write_volume(out_dir / "error.rcv", Volume3(err.values.astype(np.float32)))
+    write_volume(out_dir / "error.rcv", _on_grid_of(u_vol, err.values))
     _write_json(out_dir / "metrics.json", metrics)
     header = ("coverage", "risk", "bin_mean_uncertainty")
     points = zip(curve.coverage, curve.risk, curve.bin_mean_uncertainty)
     _write_csv(out_dir / "risk_coverage.csv", header, ([repr(float(v)) for v in p] for p in points))
-    binned = bin_curve(curve, metrics["bins"])
+    binned = bin_curve(curve, bins)
     _write_csv(
         out_dir / "risk_coverage_binned.csv", header, ([repr(r[k]) for k in header] for r in binned)
     )

@@ -343,7 +343,9 @@ class DenseTransform(Transform):
     """y -> y + d(y) with d stored per voxel and interpolated trilinearly.
 
     The identity part uses the raw query point; only the displacement lookup
-    is clamped to the grid, so the map stays continuous off-domain.
+    is clamped to the grid, so the map stays continuous off-domain.  It has
+    no Jacobian: the library takes Jacobians of perturbations only, and no
+    perturbation is dense.
     """
 
     def __init__(self, displacement):
@@ -355,46 +357,8 @@ class DenseTransform(Transform):
         self.displacement = _frozen(d)
         self.shape = d.shape[:3]
 
-    @classmethod
-    def identity(cls, shape):
-        return cls(np.zeros(tuple(int(s) for s in shape) + (3,)))
-
     def apply(self, pts):
         return pts + trilinear_sample(self.displacement, pts)
-
-    def jacobian(self, pts):
-        return self.jacobian_with_flags(pts)[0]
-
-    def jacobian_with_flags(self, pts):
-        """Central differences of the map, step 1 voxel.
-
-        Near the domain edge the stencil is clamped, degrading to one-sided
-        differences; the returned mask marks those points.
-        """
-        n = len(pts)
-        jac = np.empty((n, 3, 3), dtype=np.float64)
-        one_sided = np.zeros(n, dtype=bool)
-        hi = np.asarray(self.shape, dtype=np.float64) - 1.0
-        for ax in range(3):
-            step = np.zeros(3)
-            step[ax] = 1.0
-            pp = pts + step
-            pm = pts - step
-            # Clamp the stencil endpoints onto the domain along this axis only.
-            pp_ax = np.minimum(pp[:, ax], hi[ax])
-            pm_ax = np.maximum(pm[:, ax], 0.0)
-            pp[:, ax] = pp_ax
-            pm[:, ax] = pm_ax
-            denom = pp_ax - pm_ax
-            degenerate = denom <= 0
-            one_sided |= denom < 2.0 - 1e-12
-            denom = np.where(degenerate, 1.0, denom)
-            fp = pp + trilinear_sample(self.displacement, pp)
-            fm = pm + trilinear_sample(self.displacement, pm)
-            col = (fp - fm) / denom[:, None]
-            col[degenerate] = np.eye(3)[:, ax]
-            jac[:, :, ax] = col
-        return jac, one_sided
 
     def __repr__(self):
         return f"DenseTransform(shape={self.shape})"

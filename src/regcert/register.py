@@ -127,10 +127,6 @@ class ErrorModel:
         self.sigma_scale = sigma_scale
         self.seed = int(seed)
 
-    @classmethod
-    def isotropic(cls, sigma_std: float, mu=(0.0, 0.0, 0.0), **kw) -> "ErrorModel":
-        return cls(mu=mu, sigma=float(sigma_std), **kw)
-
     def mean(self, tau: Transform, pts: np.ndarray) -> np.ndarray:
         """mu_eps(tau; y) at (N, 3) points, shape (N, 3)."""
         if self.mu_field is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "estimate_uncertainty",
     "CovDecomposition",
     "decompose_cov",
-    "closed_form_cov_affine",
     "LemmaCheckReport",
     "verify_lemma",
     "LEMMA_KINDS",
@@ -200,7 +199,7 @@ def estimate_uncertainty(
     return UncertaintyResult(
         mean=mean_field,
         cov=cov.reshape(shape + (6,)),
-        uncertainty=Volume3(u.astype(np.float32)),
+        uncertainty=Volume3(u.astype(np.float32), spacing=target.spacing, origin=target.origin),
         n_samples=n_total,
         divisor="n-1" if unbiased else "n",
         wall_time_s=time.perf_counter() - t0,
@@ -214,13 +213,12 @@ class CovDecomposition:
     """Closed-form covariance split: intrinsic noise vs bias jitter.
 
     Per voxel, intrinsic = mean over draws of J Sigma J^T and jitter is the
-    sample covariance (divisor M) of J mu; both stored as 6 upper-triangle
+    sample covariance (divisor N) of J mu; both stored as 6 upper-triangle
     components on the grid.
     """
 
     intrinsic: np.ndarray
     jitter: np.ndarray
-    n_samples: int
     max_inversion_residual: float
 
     @property
@@ -228,8 +226,8 @@ class CovDecomposition:
         return self.intrinsic + self.jitter
 
 
-def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> CovDecomposition:
-    """Closed-form covariance over the first m_samples perturbation draws.
+def decompose_cov(backend: OracleBackend, spec: PerturbSpec) -> CovDecomposition:
+    """Closed-form covariance over the spec.count perturbation draws of spec.
 
     Uses the same draw streams as estimate_uncertainty, so empirical and
     closed-form sides see identical perturbations.  Requires the oracle
@@ -242,10 +240,6 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
     """
     if not isinstance(backend, OracleBackend):
         raise TypeError("decomposition requires analytic error model (oracle backend)")
-    if m_samples < 1:
-        raise ValueError("need at least one sample")
-    if m_samples > spec.count:
-        raise ValueError(f"m_samples {m_samples} exceeds spec.count {spec.count}")
     shape = spec.shape
     grid = grid_points(shape).reshape(-1, 3)
     n_vox = len(grid)
@@ -256,7 +250,7 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
     intr = np.zeros((len(grid), 6), dtype=np.float64)
     jitter = _Moments()
     max_residual = 0.0
-    for m in range(m_samples):
+    for m in range(spec.count):
         tau = sample_perturbation(spec, m)
         v, residual = backend.inverse_positions(tau, phi_pos)
         max_residual = max(max_residual, residual)
@@ -270,41 +264,15 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec, m_samples: int) -> 
             for k, (i, j) in enumerate(_TRI):
                 intr[:, k] += full[:, i, j]
         jitter.add(np.einsum("nij,nj->ni", jac, backend.error_model.mean(tau, grid)))
-    intr /= m_samples
-    jit = jitter.finalize(m_samples)[1]
+    intr /= spec.count
+    jit = jitter.finalize(spec.count)[1]
     if one_row:
         intr, jit = np.repeat(intr, n_vox, axis=0), np.repeat(jit, n_vox, axis=0)
     return CovDecomposition(
         intrinsic=intr.reshape(shape + (6,)),
         jitter=jit.reshape(shape + (6,)),
-        n_samples=m_samples,
         max_inversion_residual=max_residual,
     )
-
-
-def closed_form_cov_affine(samples, model: ErrorModel, y) -> tuple[np.ndarray, np.ndarray]:
-    """Exact covariance terms for affine perturbations at one point.
-
-    Over the given draws A_k: intrinsic = mean of A Sigma A^T and jitter =
-    sample covariance (divisor K) of A mu.  Exact, no linearization: for an
-    affine the translation part cancels in the back-mapping and the residual
-    is carried through A alone.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("closed_form_cov_affine needs at least one sample")
-    pt = np.asarray(y, dtype=np.float64).reshape(1, 3)
-    intr = np.zeros((3, 3))
-    ws = []
-    for tau in samples:
-        a = tau.jacobian(pt)[0]
-        intr += a @ model.cov(tau) @ a.T
-        ws.append(a @ model.mean(tau, pt)[0])
-    intr /= len(samples)
-    w = np.stack(ws)
-    c = w - w.mean(axis=0)
-    jitter = c.T @ c / len(samples)
-    return intr, jitter
 
 
 @dataclass
@@ -324,11 +292,10 @@ class LemmaCheckReport:
     passed: bool
     max_inversion_residual: float
     note: str
-    rel_error: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        """Every field but the per-voxel array."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        """Every field, as lemma_report.json lists it."""
+        return asdict(self)
 
 
 def relative_frobenius(emp: np.ndarray, closed: np.ndarray) -> np.ndarray:
@@ -419,7 +386,7 @@ def verify_lemma(
         max_residual = est.max_inversion_residual
     else:
         est = estimate_uncertainty(backend, source, target, spec)
-        dec = decompose_cov(backend, spec, n_mc)
+        dec = decompose_cov(backend, spec)
         closed, max_residual = dec.total, dec.max_inversion_residual
     rel = relative_frobenius(est.cov, closed)
     median = float(np.median(rel))
@@ -451,5 +418,4 @@ def verify_lemma(
         passed=within or regime,
         max_inversion_residual=max_residual,
         note=note,
-        rel_error=rel,
     )

@@ -164,9 +164,9 @@ def test_simulate_pair_imports_nifti_source(tmp_path):
     rng = np.random.default_rng(3)
     data = rng.uniform(0.0, 1.0, size=(18, 17, 16)).astype(np.float32)
     nii = tmp_path / "head.nii"
-    write_minimal_nifti(nii, data)
+    write_minimal_nifti(nii, data, spacing=(2, 2, 3))
     out = tmp_path / "pair"
-    cfg = write_cfg(tmp_path, "sim.json", base_sim_cfg())
+    cfg = write_cfg(tmp_path, "sim.json", base_sim_cfg(**oracle_est_cfg(count=4)))
     rc = main(
         ["simulate-pair", "--config", cfg, "--out", str(out), "--import-nifti", str(nii)]
     )
@@ -176,6 +176,15 @@ def test_simulate_pair_imports_nifti_source(tmp_path):
     np.testing.assert_array_equal(src.scalar, data)
     meta = json.loads((out / "gt.json").read_text())
     assert meta["source"] == "nifti-import"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+    # Every volume of every stage sits on the source's grid.
+    for name in ("source", "target", "gt", "u", "cov", "mean", "pred", "intrinsic", "jitter",
+                 "error"):
+        vol = read_volume(out / f"{name}.rcv")
+        assert vol.shape == (18, 17, 16)
+        assert vol.spacing.tolist() == [2.0, 2.0, 3.0], name
+        assert vol.origin.tolist() == [0.0, 0.0, 0.0], name
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +522,18 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
         ("estimate", oracle_est_cfg(count=4, estimate={"unbiased": "false"}), "'unbiased'"),
         ("estimate", oracle_est_cfg(count=4, estimate={"unbaised": True}), "'unbaised'"),
         ("evaluate", {"evaluate": {"bin": 5}}, "'bin'"),
+        ("evaluate", {"evaluate": {"bins": 0}}, "'bins'"),
+        ("estimate", oracle_est_cfg(count=2.9), "'count'"),
+        ("simulate-pair", {"shape": [16, 16, 16.7]}, "'shape'"),
+        ("simulate-pair", {"shape": [16, 16, True]}, "'shape'"),
+        ("simulate-pair", {"shape": [16, 16, 16], "seed": True}, "'seed'"),
+        (
+            "lemma-check",
+            {"lemma": {"grid": [6, 6, 6], "checks": [
+                {"kind": "translation", "n_mc": 4, "model": {"sigma": 0.5, "seed": 7.5}}
+            ]}},
+            "'seed'",
+        ),
         (
             "estimate",
             {"perturb": {"count": 4}, "backend": {"kind": "oracle", "error_model": {"sigam": 0.5}}},
@@ -567,6 +588,12 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
         "unbiased",
         "estimate-key",
         "evaluate-key",
+        "bins",
+        "count-fraction",
+        "shape-fraction",
+        "shape-bool",
+        "seed-bool",
+        "model-seed-fraction",
         "oracle-model-key",
         "lemma-key",
         "check-key",
@@ -578,9 +605,12 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
 )
 def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
     out = tmp_path / "o"
-    if command == "estimate":
+    if command in ("estimate", "evaluate"):
         simulate(tmp_path, out, base_sim_cfg(shape=[16, 16, 16]))
-        capsys.readouterr()
+    if command == "evaluate":
+        est = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
+        assert main(["estimate", "--config", est, "--out", str(out)]) == 0
+    capsys.readouterr()
     path = write_cfg(tmp_path, "cfg.json", cfg)
     rc = main([command, "--config", path, "--out", str(out)])
     err = capsys.readouterr().err
@@ -589,7 +619,20 @@ def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
     assert "Traceback" not in err
     if names is not None:
         assert names in err
-    assert not (out / "estimate.json").exists()
+    # The rejected stage writes nothing.
+    unwritten = ["error.rcv", "metrics.json", "risk_coverage.csv"]
+    if command != "evaluate":
+        unwritten.append("estimate.json")
+    assert [name for name in unwritten if (out / name).exists()] == []
+
+
+def test_integral_config_values_are_accepted(tmp_path):
+    cfg = base_sim_cfg(shape=[16, 16.0, 16], seed=1.0, **oracle_est_cfg(count=4.0))
+    out = simulate(tmp_path, tmp_path / "pair", cfg)
+    assert read_volume(out / "source.rcv").shape == (16, 16, 16)
+    assert main(["estimate", "--config", write_cfg(tmp_path, "est.json", cfg),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "estimate.json").read_text())["n_samples"] == 4
 
 
 def test_affine_phi_without_matrix_exits_one(tmp_path, capsys):

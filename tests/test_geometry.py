@@ -159,9 +159,14 @@ def test_trilinear_sample_bitwise_matches_fancy_index_oracle(shape, channels, dt
 
 
 def test_dense_identity_is_identity():
-    t = DenseTransform.identity((3, 4, 5))
+    t = DenseTransform(np.zeros((3, 4, 5, 3)))
     g = grid_points((3, 4, 5)).reshape(-1, 3)
     assert np.array_equal(t.apply(g), g)
+
+
+def test_dense_transform_has_no_jacobian():
+    with pytest.raises(NotImplementedError):
+        DenseTransform(np.zeros((3, 4, 5, 3))).jacobian(np.zeros((1, 3)))
 
 
 def test_dense_requires_three_channels():
@@ -273,10 +278,10 @@ def test_compose_needs_shape_for_analytic_inner():
 
 
 def test_compose_shape_mismatch_rejected():
-    inner = DenseTransform.identity((4, 4, 4))
+    inner = DenseTransform(np.zeros((4, 4, 4, 3)))
     with pytest.raises(ValueError, match="shape mismatch: inner grid"):
         compose(TranslationTransform((1, 0, 0)), inner, shape=(5, 5, 5))
-    outer = DenseTransform.identity((5, 5, 5))
+    outer = DenseTransform(np.zeros((5, 5, 5, 3)))
     with pytest.raises(ValueError, match="shape mismatch: outer grid"):
         compose(outer, inner)
 
@@ -421,29 +426,6 @@ def test_bspline_non_finite_control_rejected():
     control[0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         BSplineTransform(4, control, (10, 10, 10))
-
-
-# ---------------------------------------------------------------------------
-# dense Jacobians
-
-
-def test_dense_jacobian_recovers_affine_matrix():
-    rng = np.random.default_rng(7)
-    aff = small_affine(rng)
-    shape = (10, 10, 10)
-    dense = compose(aff, DenseTransform.identity(shape))
-    interior = np.array([[3.0, 4.0, 5.0], [6.0, 2.0, 7.0]])
-    jac, flags = dense.jacobian_with_flags(interior)
-    assert np.max(np.abs(jac - aff.matrix)) < 1e-6
-    assert not flags.any()
-
-
-def test_dense_jacobian_boundary_flagged_one_sided():
-    dense = DenseTransform.identity((6, 6, 6))
-    _, flags = dense.jacobian_with_flags(np.array([[0.0, 3.0, 3.0], [5.0, 3.0, 3.0]]))
-    assert flags.all()
-    _, flags = dense.jacobian_with_flags(np.array([[2.0, 3.0, 3.0]]))
-    assert not flags.any()
 
 
 # ---------------------------------------------------------------------------

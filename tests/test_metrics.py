@@ -76,7 +76,7 @@ def test_error_map_respects_mask():
     shape = (4, 4, 4)
     m = np.zeros(shape, dtype=bool)
     m[0, 0, 0] = True
-    e = error_map(DenseTransform.identity(shape), TranslationTransform((1.0, 0.0, 0.0)),
+    e = error_map(DenseTransform(np.zeros(shape + (3,))), TranslationTransform((1.0, 0.0, 0.0)),
                   RoiMask(m))
     assert e.masked.shape == (1,)
     assert e.masked[0] == pytest.approx(1.0)

@@ -44,7 +44,7 @@ def blank(shape):
 
 
 def test_scalar_sigma_becomes_isotropic_covariance():
-    m = ErrorModel.isotropic(0.5)
+    m = ErrorModel(sigma=0.5)
     assert np.array_equal(m.sigma, 0.25 * np.eye(3))
     assert np.allclose(m._factor @ m._factor.T, m.sigma, atol=1e-12)
 
@@ -94,7 +94,7 @@ def test_scale_functions_reject_non_linear_perturbations():
     from regcert.geometry import DenseTransform
 
     with pytest.raises(ValueError, match="translation/affine"):
-        m.mean(DenseTransform.identity((4, 4, 4)), np.zeros((2, 3)))
+        m.mean(DenseTransform(np.zeros((4, 4, 4, 3))), np.zeros((2, 3)))
 
 
 def test_mu_field_is_interpolated():
@@ -139,7 +139,7 @@ def test_oracle_constant_bias_added_exactly():
 
 def test_oracle_noise_deterministic_in_nonce():
     shape = (6, 6, 6)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.3, seed=5))
+    backend = OracleBackend(PHI, ErrorModel(sigma=0.3, seed=5))
     a = backend.register(blank(shape), blank(shape), nonce=2).transform
     b = backend.register(blank(shape), blank(shape), nonce=2).transform
     c = backend.register(blank(shape), blank(shape), nonce=3).transform
@@ -172,7 +172,7 @@ def test_oracle_equivariance_with_zero_error_model():
 
 
 def test_oracle_returns_its_inversion_read_only():
-    model = ErrorModel.isotropic(0.3, mu=(0.2, 0.0, 0.1), seed=5)
+    model = ErrorModel(mu=(0.2, 0.0, 0.1), sigma=0.3, seed=5)
     backend = OracleBackend(PHI, model, lenient_inversion=True)
     shape = (6, 6, 6)
     phi_pos = PHI.apply(grid_points(shape).reshape(-1, 3))
@@ -194,7 +194,7 @@ def test_oracle_noise_variance_matches_model():
     # in [0.225, 0.275] up to Monte-Carlo scatter (chi-square rel. std.
     # sqrt(2/1999) ~ 3.2%, band is +-10%); the bulk must be inside.
     shape = (6, 6, 6)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.5, seed=0))
+    backend = OracleBackend(PHI, ErrorModel(sigma=0.5, seed=0))
     draws = 2000
     n = 6 * 6 * 6
     acc = np.zeros((n, 3))

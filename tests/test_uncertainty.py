@@ -27,7 +27,6 @@ from regcert.register import (
 from regcert.uncertainty import (
     LEMMA_KINDS,
     REGIME_STRENGTH_MAX,
-    closed_form_cov_affine,
     decompose_cov,
     estimate_uncertainty,
     mc_relative_bound,
@@ -37,6 +36,8 @@ from regcert.uncertainty import (
 )
 from regcert.uncertainty import _TRI, _estimate_and_linearize, _Moments
 from regcert.volume import Volume3, make_phantom, warp
+
+from closed_form import closed_form_cov_affine
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
 
@@ -116,7 +117,7 @@ def test_moments_single_sample_has_zero_covariance():
 
 def test_estimate_bitwise_deterministic_and_thread_invariant():
     shape = (8, 8, 8)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.2, seed=4))
+    backend = OracleBackend(PHI, ErrorModel(sigma=0.2, seed=4))
     spec = spec_for("translation", shape)
     a = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
     b = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
@@ -135,7 +136,7 @@ def test_n_clamped_counts_the_negative_traces(monkeypatch):
         return cov[..., 0] + cov[..., 3] + cov[..., 5]
 
     shape = (6, 6, 6)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.3, seed=1))
+    backend = OracleBackend(PHI, ErrorModel(sigma=0.3, seed=1))
     spec = spec_for("affine", shape, count=5)
     # The sums are centred on the first draw, so a variance is at least 1/N of
     # the mean squared offset and rounding leaves no trace negative.
@@ -159,7 +160,7 @@ def test_n_clamped_counts_the_negative_traces(monkeypatch):
 
 def test_unbiased_divisor_rescales_covariance():
     shape = (6, 6, 6)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.3, seed=1))
+    backend = OracleBackend(PHI, ErrorModel(sigma=0.3, seed=1))
     spec = spec_for("translation", shape, count=10)
     biased = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
     unbiased = estimate_uncertainty(backend, blank(shape), blank(shape), spec, unbiased=True)
@@ -202,7 +203,7 @@ def test_collapsed_ranges_zero_even_for_real_solver():
 
 def test_covariance_is_positive_semidefinite():
     shape = (8, 8, 8)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.25, mu=(0.3, 0.1, 0.0), seed=2))
+    backend = OracleBackend(PHI, ErrorModel(mu=(0.3, 0.1, 0.0), sigma=0.25, seed=2))
     est = estimate_uncertainty(backend, blank(shape), blank(shape), spec_for("affine", shape, count=40))
     w = np.linalg.eigvalsh(tri_to_matrices(est.cov).reshape(-1, 3, 3))
     assert w.min() >= -1e-9 * max(w.max(), 1.0)
@@ -244,7 +245,7 @@ def test_oracle_estimate_never_warps_the_source(monkeypatch):
     calls = []
     monkeypatch.setattr(uncertainty, "warp", lambda volume, t: calls.append(t))
     shape = (6, 6, 6)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.2, seed=1))
+    backend = OracleBackend(PHI, ErrorModel(sigma=0.2, seed=1))
     assert RegistrationBackend.reads_images and not backend.reads_images
     for family in ("affine", "deform"):
         spec = spec_for(family, shape, count=4)
@@ -291,15 +292,7 @@ def test_threads_validation():
 
 def test_decompose_requires_oracle():
     with pytest.raises(TypeError, match="analytic error model"):
-        decompose_cov(AffineSsdBackend(), spec_for("translation"), 5)
-
-
-def test_decompose_sample_count_validation():
-    backend = OracleBackend(PHI, ErrorModel())
-    with pytest.raises(ValueError):
-        decompose_cov(backend, spec_for("translation", count=5), 0)
-    with pytest.raises(ValueError, match="exceeds"):
-        decompose_cov(backend, spec_for("translation", count=5), 6)
+        decompose_cov(AffineSsdBackend(), spec_for("translation"))
 
 
 def _decompose_cov_per_voxel(backend, spec, m_samples):
@@ -343,7 +336,7 @@ def test_linear_decomposition_equals_per_voxel_reference(family, model_kind):
     shape = (7, 8, 9)
     spec = spec_for(family, shape, count=12)
     backend = OracleBackend(PHI, _reference_model(model_kind, shape))
-    dec = decompose_cov(backend, spec, 12)
+    dec = decompose_cov(backend, spec)
     intr, jitter = _decompose_cov_per_voxel(backend, spec, 12)
     assert np.array_equal(dec.intrinsic, intr)
     assert np.array_equal(dec.jitter, jitter)
@@ -353,7 +346,7 @@ def test_deform_decomposition_equals_per_voxel_reference():
     shape = (7, 8, 9)
     spec = spec_for("deform", shape, count=6, deform_strength=0.02)
     backend = OracleBackend(PHI, _reference_model("mu-field", shape))
-    dec = decompose_cov(backend, spec, 6)
+    dec = decompose_cov(backend, spec)
     intr, jitter = _decompose_cov_per_voxel(backend, spec, 6)
     assert np.array_equal(dec.intrinsic, intr)
     assert np.array_equal(dec.jitter, jitter)
@@ -382,7 +375,7 @@ def test_decomposition_inverts_one_point_only_where_the_closed_form_is_uniform(
         model = _reference_model(model_kind, shape)
     backend = OracleBackend(PHI, model)
     kw = {"deform_strength": 0.02} if family == "deform" else {}
-    dec = decompose_cov(backend, spec_for(family, shape, count=5, **kw), 5)
+    dec = decompose_cov(backend, spec_for(family, shape, count=5, **kw))
     assert sizes == [points] * 5
     assert dec.intrinsic.shape == dec.jitter.shape == shape + (6,)
     assert dec.intrinsic.flags.writeable and dec.jitter.flags.writeable
@@ -406,7 +399,7 @@ def test_decomposition_terms_are_psd(family, seed, rank, mu_field, mu_scale, sig
                        seed=seed, **mean)
     spec = PerturbSpec(family=family, shape=shape, seed=seed, count=8)
     backend = OracleBackend(PHI, model)
-    dec = decompose_cov(backend, spec, 8)
+    dec = decompose_cov(backend, spec)
     # The estimator's own covariance on the same draws is held to the same bound.
     est = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
     for term in (dec.intrinsic, dec.jitter, est.cov):
@@ -419,7 +412,7 @@ def test_translation_intrinsic_is_model_covariance():
     # and a constant mu contributes no jitter at all.
     sigma = np.diag([0.04, 0.09, 0.16])
     backend = OracleBackend(PHI, ErrorModel(mu=(1.0, 0.0, 0.0), sigma=sigma))
-    dec = decompose_cov(backend, spec_for("translation", (6, 6, 6), count=12), 12)
+    dec = decompose_cov(backend, spec_for("translation", (6, 6, 6), count=12))
     want = np.array([0.04, 0.0, 0.0, 0.09, 0.0, 0.16])
     assert np.max(np.abs(dec.intrinsic - want)) < 1e-15
     assert np.array_equal(dec.jitter, np.zeros((6, 6, 6, 6)))
@@ -431,7 +424,7 @@ def test_scaled_mean_jitter_matches_hand_computation():
     spec = spec_for("translation", shape, count=30)
     model = ErrorModel(mu=(1.0, 0.0, 0.0), sigma=0.0, mu_scale="offset_norm")
     backend = OracleBackend(PHI, model)
-    dec = decompose_cov(backend, spec, 30)
+    dec = decompose_cov(backend, spec)
     norms = np.array([
         np.linalg.norm(sample_perturbation(spec, m).offset) for m in range(30)
     ])
@@ -450,7 +443,7 @@ def test_estimator_matches_decomposition_without_noise():
     model = ErrorModel(mu=(1.0, 0.0, 0.0), sigma=0.0, mu_scale="mean_diag")
     backend = OracleBackend(PHI, model)
     est = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
-    dec = decompose_cov(backend, spec, 25)
+    dec = decompose_cov(backend, spec)
     assert np.array_equal(dec.intrinsic, np.zeros(shape + (6,)))
     assert np.max(np.abs(est.cov - dec.total)) < 1e-12
 
@@ -473,7 +466,7 @@ def test_closed_form_matches_decomposition_at_a_voxel():
     spec = spec_for("affine", shape, count=15)
     model = ErrorModel(mu=(0.5, 0.2, 0.0), sigma=0.3)
     backend = OracleBackend(PHI, model)
-    dec = decompose_cov(backend, spec, 15)
+    dec = decompose_cov(backend, spec)
     samples = [sample_perturbation(spec, m) for m in range(15)]
     y = (6.0, 6.0, 6.0)
     intr, jit = closed_form_cov_affine(samples, model, y)
@@ -488,7 +481,7 @@ def test_linearized_model_is_exact_for_translations():
     # covariance to float precision on shared draws.
     shape = (6, 6, 6)
     spec = spec_for("translation", shape, count=40)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.2, mu=(0.3, 0.0, 0.0), seed=7))
+    backend = OracleBackend(PHI, ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7))
     est, lin = _estimate_and_linearize(backend, blank(shape), blank(shape), spec)
     assert est.max_inversion_residual == 0.0
     assert np.max(np.abs(est.cov - lin)) < 1e-12
@@ -514,7 +507,7 @@ def _linearized_cov_two_pass(backend, spec):
 def test_one_pass_linearization_is_bitwise_the_two_pass_one(strength):
     shape = (8, 8, 8)
     spec = spec_for("deform", shape, count=20, deform_strength=strength)
-    model = ErrorModel.isotropic(0.2, mu=(0.3, 0.0, 0.0), seed=7)
+    model = ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7)
     backend = OracleBackend(PHI, model, lenient_inversion=True)
     est, lin = _estimate_and_linearize(backend, blank(shape), blank(shape), spec)
     ref, ref_residual = _linearized_cov_two_pass(
@@ -528,7 +521,7 @@ def test_one_pass_linearization_is_bitwise_the_two_pass_one(strength):
 def test_max_inversion_residual_is_the_largest_sample_residual():
     shape = (8, 8, 8)
     spec = spec_for("deform", shape, count=12, deform_strength=0.3)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.2, seed=3), lenient_inversion=True)
+    backend = OracleBackend(PHI, ErrorModel(sigma=0.2, seed=3), lenient_inversion=True)
     est = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
     phi_pos = PHI.apply(grid_points(shape).reshape(-1, 3))
     want = max(
@@ -546,7 +539,7 @@ def test_max_inversion_residual_is_the_largest_sample_residual():
 def test_observer_results_reduce_in_sample_order_at_any_thread_count():
     shape = (8, 8, 8)
     spec = spec_for("deform", shape, count=11)
-    backend = OracleBackend(PHI, ErrorModel.isotropic(0.2, seed=4), lenient_inversion=True)
+    backend = OracleBackend(PHI, ErrorModel(sigma=0.2, seed=4), lenient_inversion=True)
 
     def observe(n, tau, reg):
         return n, reg.inverted_positions.sum()
@@ -595,7 +588,7 @@ def test_deform_lemma_draws_and_inverts_each_perturbation_once(monkeypatch):
     monkeypatch.setattr(OracleBackend, "inverse_positions",
                         counting("inverse", OracleBackend.inverse_positions))
     k = 7
-    rep = verify_lemma("deform", ErrorModel.isotropic(0.2, seed=7), PHI, (8, 8, 8),
+    rep = verify_lemma("deform", ErrorModel(sigma=0.2, seed=7), PHI, (8, 8, 8),
                        n_mc=k, strength=0.08)
     assert rep.passed
     assert calls == {"sample": k, "inverse": k, "invert_at": k}
@@ -656,7 +649,7 @@ def test_verify_lemma_translation_is_exact_comparison():
 def test_verify_lemma_deform_within_regime():
     rep = verify_lemma(
         "deform",
-        ErrorModel.isotropic(0.2, mu=(0.3, 0.0, 0.0), seed=7),
+        ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7),
         PHI,
         (10, 10, 10),
         n_mc=60,
@@ -673,7 +666,7 @@ def test_verify_lemma_deform_within_regime():
 def test_verify_lemma_reports_regime_violation():
     rep = verify_lemma(
         "deform",
-        ErrorModel.isotropic(0.2, mu=(0.3, 0.0, 0.0), seed=7),
+        ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7),
         PHI,
         (10, 10, 10),
         n_mc=40,
@@ -697,7 +690,6 @@ def test_lemma_report_serializes_to_json():
                        (6, 6, 6), n_mc=50)
     d = rep.to_dict()
     text = json.dumps(d)
-    assert "rel_error" not in d
     for key in ("kind", "median_rel_error", "mc_bound", "tolerance", "passed", "note"):
         assert key in d
     assert json.loads(text)["kind"] == "translation"
