@@ -11,7 +11,6 @@ from .geometry import (
     BSplineTransform,
     ConvergenceError,
     DenseTransform,
-    InversionResult,
     Transform,
     TranslationTransform,
     compose,

@@ -159,27 +159,33 @@ def _known_keys(sec: dict, names, what: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in config section {what!r}")
 
 
-def _from_section(cls, sec: dict, what: str, **supplied):
+def _from_section(cls, sec: dict, what: str, renamed=None, **supplied):
     """cls built from a config section over the values the CLI supplies.
 
     Only the keys the section gives are passed, so every other field keeps
-    the class's own default; numeric fields go through _number.
+    the class's own default; numeric fields go through _number.  A key names
+    its field unless renamed maps it to another.  Values the class rejects
+    are reported under their config keys.
     """
+    renamed = renamed or {}
     names = {f.name: f for f in fields(cls)}
-    _known_keys(sec, names, what)
+    _known_keys(sec, [*names, *renamed], what)
     for key, value in sec.items():
-        default = names[key].default
+        default = names[renamed.get(key, key)].default
         numeric = type(default) in (int, float)
         supplied[key] = _number(sec, key, None, type(default)) if numeric else value
     try:
-        return cls(**supplied)
+        return cls(**{renamed.get(key, key): value for key, value in supplied.items()})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what!r} section: {exc}") from exc
+        raise ConfigError(f"bad {what!r} {supplied}: {exc}") from exc
 
 
 _ERROR_MODEL_KEYS = ("mu", "sigma", "mu_field_path", "mu_scale", "sigma_scale", "seed")
 _LEMMA_KEYS = ("grid", "n_mc", "phi", "checks", "mse")
 _LEMMA_CHECK_KEYS = ("kind", "model", "strength", "grid_spacing", "node_max", "n_mc", "seed")
+# Lemma check keys that set a PerturbSpec field of another name.
+_LEMMA_SPEC_FIELDS = {"kind": "family", "grid": "shape", "n_mc": "count",
+                      "strength": "deform_strength"}
 _LEMMA_MSE_KEYS = ("model", "draws")
 
 
@@ -352,7 +358,7 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
     truth = _truth_from(out_dir)
     mask = _mask_from(sec, u_vol.shape)
     err = error_map(pred, truth, mask)
-    curve = risk_coverage(err, u_vol, mask)
+    curve = risk_coverage(err, u_vol)
     u_masked = u_vol.scalar[mask.mask].astype(np.float64)
     metrics = {
         "pearson": pearson(err.masked, u_masked),
@@ -395,23 +401,23 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
             raise ConfigError("each lemma check needs a 'kind'")
         model_sec = chk.get("model", {"mu": [0.5, 0.0, 0.0], "sigma": 0.5})
         model = _build_error_model(_object(model_sec, "lemma check 'model'"), seed)
-        kw = {"n_mc": _number(chk, "n_mc", n_mc), "seed": _number(chk, "seed", seed)}
-        # Perturbation magnitudes not named here keep verify_lemma's defaults.
-        kw.update(
-            (key, _number(chk, key, None, kind))
-            for key, kind in (("strength", float), ("grid_spacing", int), ("node_max", float))
-            if key in chk
-        )
-        runs.append((chk["kind"], model, kw))
+        # Perturbation magnitudes not named here keep PerturbSpec's defaults.
+        entry = {key: value for key, value in chk.items() if key != "model"}
+        spec = _from_section(PerturbSpec, entry, "lemma check", _LEMMA_SPEC_FIELDS,
+                             grid=grid, n_mc=n_mc, seed=seed)
+        runs.append((spec, model))
     cases = []
     for case in _objects(sec.get("mse", []), "lemma mse case"):
         _known_keys(case, _LEMMA_MSE_KEYS, "lemma mse case")
         model = _build_error_model(_object(case.get("model", {}), "mse case 'model'"), seed)
-        cases.append((model, _number(case, "draws", 2000)))
+        draws = _number(case, "draws", 2000)
+        if draws < 2:
+            raise ConfigError(f"'draws' must be >= 2, got {draws}")
+        cases.append((model, draws))
     reports = []
     all_ok = True
-    for kind, model, kw in runs:
-        rep = verify_lemma(kind, model, phi, grid, **kw)
+    for spec, model in runs:
+        rep = verify_lemma(spec, model, phi)
         reports.append(rep.to_dict())
         status = "PASS" if rep.passed else "FAIL"
         print(

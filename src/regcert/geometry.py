@@ -14,7 +14,6 @@ zero field.  Sampling anywhere uses clamp-to-edge boundary handling.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "AffineTransform",
     "BSplineTransform",
     "DenseTransform",
-    "InversionResult",
     "identity_transform",
     "is_linear",
     "grid_points",
@@ -376,25 +374,12 @@ def dense(t: Transform, shape) -> DenseTransform:
     return DenseTransform((t.apply(grid) - grid).reshape(tuple(shape) + (3,)))
 
 
-def _domain_shape_of(t: Transform):
-    if isinstance(t, DenseTransform):
-        return t.shape
-    if isinstance(t, BSplineTransform):
-        return t.domain_shape
-    return None
-
-
-def compose(outer: Transform, inner: Transform, shape=None) -> DenseTransform:
-    """Dense composition (outer o inner) sampled at every voxel center.
+def compose(outer: Transform, inner: Transform, shape) -> DenseTransform:
+    """Dense composition (outer o inner) sampled at the voxel centers of shape.
 
     The outer transform is evaluated analytically (or, for dense fields,
-    interpolated) at inner(y); the inner transform supplies the grid when
-    no explicit shape is given.
+    interpolated) at inner(y).
     """
-    if shape is None:
-        shape = _domain_shape_of(inner)
-    if shape is None:
-        raise ValueError("composition needs a grid shape when the inner transform has none")
     shape = tuple(int(s) for s in shape)
     if isinstance(inner, DenseTransform) and inner.shape != shape:
         raise ValueError(f"shape mismatch: inner grid {inner.shape} vs requested {shape}")
@@ -403,15 +388,6 @@ def compose(outer: Transform, inner: Transform, shape=None) -> DenseTransform:
     grid = grid_points(shape).reshape(-1, 3)
     mapped = outer.apply(inner.apply(grid))
     return DenseTransform((mapped - grid).reshape(shape + (3,)))
-
-
-@dataclass(frozen=True)
-class InversionResult:
-    """Inverse transform plus the achieved round-trip residual."""
-
-    transform: Transform
-    residual: float
-    iterations: int
 
 
 def invert_at(
@@ -455,24 +431,15 @@ def invert_at(
     return z + v, residual, iterations
 
 
-def invert(t: Transform, tol: float = 1e-3, max_iter: int = 50) -> InversionResult:
-    """Invert a transform.
+def invert(t: Transform) -> Transform:
+    """Closed-form inverse of a translation or an affine.
 
-    Translations and affines invert in closed form with zero residual.
-    B-spline and dense transforms run the fixed-point iteration
-    v <- -u(y + v) on their own grid and report the round-trip residual
-    max_y ||t(t^-1(y)) - y||; a residual above 10*tol raises.
+    Other transforms have none; invert_at evaluates their inverse at query
+    points.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("inversion needs tol > 0 and max_iter >= 1")
     if isinstance(t, TranslationTransform):
-        return InversionResult(TranslationTransform(-t.offset), 0.0, 0)
+        return TranslationTransform(-t.offset)
     if isinstance(t, AffineTransform):
         a_inv = np.linalg.inv(t.matrix)
-        return InversionResult(AffineTransform(a_inv, -a_inv @ t.offset), 0.0, 0)
-    shape = _domain_shape_of(t)
-    grid = grid_points(shape).reshape(-1, 3)
-    positions, residual, iterations = invert_at(t, grid, tol, max_iter)
-    inv = DenseTransform((positions - grid).reshape(tuple(shape) + (3,)))
-    return InversionResult(inv, residual, iterations)
-
+        return AffineTransform(a_inv, -a_inv @ t.offset)
+    raise TypeError(f"{type(t).__name__} has no closed-form inverse; use invert_at")

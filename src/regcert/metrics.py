@@ -66,19 +66,12 @@ def error_map(pred: DenseTransform, truth: Transform, mask: RoiMask | None = Non
     return ErrorMap(e, mask)
 
 
-def _masked_pair(a, b, mask):
+def _pair(a, b):
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if mask is not None:
-        if mask.shape != x.shape:
-            raise ValueError(f"mask shape {mask.shape} does not match data {x.shape}")
-        x = x[mask.mask]
-        y = y[mask.mask]
-    else:
-        x = x.reshape(-1)
-        y = y.reshape(-1)
+    x, y = x.reshape(-1), y.reshape(-1)
     if x.size < 2:
         raise ValueError("correlation needs at least 2 values")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -86,9 +79,9 @@ def _masked_pair(a, b, mask):
     return x, y
 
 
-def pearson(a, b, mask: RoiMask | None = None) -> float:
+def pearson(a, b) -> float:
     """Pearson correlation; NaN ("undefined") when either input is constant."""
-    x, y = _masked_pair(a, b, mask)
+    x, y = _pair(a, b)
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt((xc * xc).sum()))
@@ -114,9 +107,9 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return 0.5 * (bounds[group - 1] + bounds[group] + 1)
 
 
-def spearman(a, b, mask: RoiMask | None = None) -> float:
+def spearman(a, b) -> float:
     """Rank correlation with average ranks for ties; NaN on constant input."""
-    x, y = _masked_pair(a, b, mask)
+    x, y = _pair(a, b)
     return pearson(_average_ranks(x), _average_ranks(y))
 
 
@@ -145,16 +138,13 @@ def _prefix_means(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values) / np.arange(1, len(values) + 1)
 
 
-def risk_coverage(error: ErrorMap, uncertainty, mask: RoiMask | None = None) -> RiskCoverageCurve:
-    """Build the risk-coverage curve of an uncertainty ranking."""
+def risk_coverage(error: ErrorMap, uncertainty) -> RiskCoverageCurve:
+    """Build the risk-coverage curve of an uncertainty ranking over the error's mask."""
     u_arr = uncertainty.scalar if isinstance(uncertainty, Volume3) else np.asarray(uncertainty)
     if u_arr.shape != error.values.shape:
         raise ValueError(f"uncertainty shape {u_arr.shape} does not match error {error.values.shape}")
-    mask = mask if mask is not None else error.mask
-    if mask.shape != error.values.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match error {error.values.shape}")
-    e = error.values[mask.mask]
-    u = np.asarray(u_arr, dtype=np.float64)[mask.mask]
+    e = error.masked
+    u = np.asarray(u_arr, dtype=np.float64)[error.mask.mask]
     m = len(e)
     if m < 1:
         raise ValueError("risk_coverage needs at least one voxel")

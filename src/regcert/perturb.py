@@ -21,7 +21,8 @@ from .geometry import (
     TranslationTransform,
     bspline_control_shape,
     compose,
-    invert,
+    grid_points,
+    invert_at,
 )
 
 __all__ = [
@@ -78,6 +79,8 @@ class PerturbSpec:
             )
         object.__setattr__(self, "shape", _check_shape(self.shape))
         object.__setattr__(self, "scale_range", tuple(float(s) for s in self.scale_range))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.count < 2:
             raise ValueError("perturbation count must be >= 2")
         if self.translation_fraction < 0:
@@ -186,15 +189,10 @@ def _deform2_attempt(spec: GtSpec, shape, attempt: int):
 
 
 def _simulate_deform2(spec: GtSpec, shape):
-    last_residual = None
+    grid = grid_points(shape).reshape(-1, 3)
     for attempt in range(spec.max_resample):
         composed, layers = _deform2_attempt(spec, shape, attempt)
-        try:
-            res = invert(composed, tol=1e-3, max_iter=100)
-            residual = res.residual
-        except ConvergenceError:
-            residual = np.inf
-        last_residual = residual
+        _, residual, _ = invert_at(composed, grid, max_iter=100, strict=False)
         if residual <= spec.invert_tol_voxels:
             info = {
                 "kind": "deform2",
@@ -212,7 +210,7 @@ def _simulate_deform2(spec: GtSpec, shape):
             return composed, info
     raise ConvergenceError(
         f"deform2 ground truth not invertible within {spec.invert_tol_voxels} voxels "
-        f"after {spec.max_resample} attempts (last residual {last_residual:.3g})"
+        f"after {spec.max_resample} attempts (last residual {residual:.3g})"
     )
 
 

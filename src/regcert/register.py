@@ -238,7 +238,7 @@ class OracleBackend(RegistrationBackend):
         intermediate field or interpolation enters the oracle's output.
         """
         if is_linear(tau):
-            return invert(tau).transform.apply(pts), 0.0
+            return invert(tau).apply(pts), 0.0
         positions, residual, _ = invert_at(tau, pts, strict=not self.lenient_inversion)
         return positions, residual
 

@@ -30,15 +30,12 @@ __all__ = [
     "decompose_cov",
     "LemmaCheckReport",
     "verify_lemma",
-    "LEMMA_KINDS",
     "REGIME_STRENGTH_MAX",
 ]
 
 # Upper-triangle component order for symmetric 3x3 matrices stored per voxel.
 _TRI = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _TRACE_IDX = (0, 3, 5)
-
-LEMMA_KINDS = ("translation", "scale", "shear", "affine", "deform")
 
 # Above this deform strength the first-order covariance identity is out of
 # its regime; verify_lemma reports a violation instead of failing.  Frozen
@@ -343,43 +340,25 @@ def _estimate_and_linearize(
     return est, lin.finalize(spec.count)[1].reshape(target.shape + (6,))
 
 
-def verify_lemma(
-    kind: str,
-    model: ErrorModel,
-    phi: Transform,
-    grid_shape,
-    n_mc: int = 2000,
-    seed: int = 0,
-    strength: float = 0.08,
-    grid_spacing: int = 10,
-    node_max: float = 12.5,
-) -> LemmaCheckReport:
-    """Run the estimator against its closed form on shared perturbation draws.
+def verify_lemma(spec: PerturbSpec, model: ErrorModel, phi: Transform) -> LemmaCheckReport:
+    """Run the estimator against its closed form on the draws of spec.
 
-    Linear kinds (translation/scale/shear/affine) satisfy the closed form
+    The source is a blobs phantom drawn at spec.seed (a blank volume below
+    16 voxels a side), and the target is it warped through phi.  Linear
+    families (translation/scale/shear/affine) satisfy the closed form
     exactly, so the residual is pure Monte-Carlo noise; 'deform' holds to
     first order, is compared against the linearized model on common random
     numbers so the residual is the Taylor remainder itself, and large
     strengths are reported as regime violations rather than failures.
     """
-    if kind not in LEMMA_KINDS:
-        raise ValueError(f"unknown lemma kind {kind!r}; expected one of {LEMMA_KINDS}")
-    shape = tuple(int(s) for s in grid_shape)
-    spec = PerturbSpec(
-        family=kind,
-        shape=shape,
-        seed=seed,
-        count=n_mc,
-        deform_strength=strength,
-        grid_spacing=grid_spacing,
-        node_max=node_max,
-    )
+    shape = spec.shape
     if min(shape) >= 16:
-        source = make_phantom(shape, "blobs", seed=seed)
+        source = make_phantom(shape, "blobs", seed=spec.seed)
     else:
         source = Volume3(np.zeros(shape, dtype=np.float32))
     target = warp(source, phi)
-    is_deform = kind == "deform"
+    is_deform = spec.family == "deform"
+    strength = spec.deform_strength
     backend = OracleBackend(phi, model, lenient_inversion=is_deform)
     if is_deform:
         est, closed = _estimate_and_linearize(backend, source, target, spec)
@@ -391,7 +370,7 @@ def verify_lemma(
     rel = relative_frobenius(est.cov, closed)
     median = float(np.median(rel))
     central = float(rel[_central_box(shape)].max())
-    mc = mc_relative_bound(n_mc)
+    mc = mc_relative_bound(spec.count)
     tol = mc + (0.05 if is_deform else 0.0)
     within = median <= tol
     regime = is_deform and strength > REGIME_STRENGTH_MAX
@@ -405,8 +384,8 @@ def verify_lemma(
     else:
         note = "first-order comparison within regime"
     return LemmaCheckReport(
-        kind=kind,
-        n_samples=n_mc,
+        kind=spec.family,
+        n_samples=spec.count,
         grid_shape=shape,
         strength=strength if is_deform else None,
         median_rel_error=median,

@@ -196,9 +196,10 @@ def _run_c6():
     model = ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7)
     errs, flags = [], []
     for strength in (0.02, 0.08, 0.3):
-        rep = verify_lemma(
-            "deform", model, PHI, (12, 12, 12), n_mc=200, seed=0, strength=strength
+        spec = PerturbSpec(
+            family="deform", shape=(12, 12, 12), seed=0, count=200, deform_strength=strength
         )
+        rep = verify_lemma(spec, model, PHI)
         errs.append(rep.median_rel_error)
         flags.append(rep.regime_violation)
     return {"errs": errs, "flags": tuple(flags), "digest": _digest(np.array(errs))}

@@ -496,6 +496,13 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
     assert "needs a 'kind'" in capsys.readouterr().err
 
 
+def lemma_cfg(*checks, n_mc=50, mse=()):
+    """An 8^3 lemma config whose first check, translation at n_mc 50, passes."""
+    first = {"kind": "translation", "n_mc": 50}
+    return {"lemma": {"grid": [8, 8, 8], "n_mc": n_mc, "checks": [first, *checks],
+                      "mse": list(mse)}}
+
+
 @pytest.mark.parametrize(
     "command, cfg, names",
     [
@@ -567,6 +574,13 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
             "'sigam'",
         ),
         ("simulate-pair", {"sead": 5}, "'sead'"),
+        # Each value mistake below follows a check that would pass: it must
+        # stop the run before that check's Monte Carlo.
+        ("lemma-check", lemma_cfg({"kind": "rotation"}), "'kind'"),
+        ("lemma-check", lemma_cfg({"kind": "deform", "strength": -1}), "'strength'"),
+        ("lemma-check", lemma_cfg({"kind": "affine"}, n_mc=1), "'n_mc'"),
+        ("lemma-check", lemma_cfg({"kind": "affine", "seed": -1}), "'seed'"),
+        ("lemma-check", lemma_cfg(mse=[{"draws": 1}]), "'draws'"),
     ],
     ids=[
         "seed",
@@ -601,6 +615,11 @@ def test_lemma_check_without_kind_exits_one(tmp_path, capsys):
         "mse-key",
         "mse-model-key",
         "top-level-key",
+        "check-kind",
+        "check-strength",
+        "lemma-n_mc",
+        "check-seed",
+        "mse-draws",
     ],
 )
 def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
@@ -613,14 +632,16 @@ def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
     capsys.readouterr()
     path = write_cfg(tmp_path, "cfg.json", cfg)
     rc = main([command, "--config", path, "--out", str(out)])
-    err = capsys.readouterr().err
+    printed = capsys.readouterr()
+    err = printed.err
     assert rc == 1
     assert err.startswith("config error")
     assert "Traceback" not in err
     if names is not None:
         assert names in err
-    # The rejected stage writes nothing.
-    unwritten = ["error.rcv", "metrics.json", "risk_coverage.csv"]
+    # The rejected stage runs nothing and writes nothing.
+    assert "[lemma-check]" not in printed.out
+    unwritten = ["error.rcv", "metrics.json", "risk_coverage.csv", "lemma_report.json"]
     if command != "evaluate":
         unwritten.append("estimate.json")
     assert [name for name in unwritten if (out / name).exists()] == []

@@ -229,7 +229,7 @@ def test_risk_coverage_accepts_volume_uncertainty_and_mask():
     m[:2] = True
     e = ErrorMap(vals, RoiMask(m))
     u = Volume3(rng.random(shape))
-    c = risk_coverage(e, u, RoiMask(m))
+    c = risk_coverage(e, u)
     assert c.n_voxels == 32
     assert len(c.coverage) == 32
 

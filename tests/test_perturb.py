@@ -17,7 +17,7 @@ from regcert.geometry import (
     DenseTransform,
     TranslationTransform,
     grid_points,
-    invert,
+    invert_at,
 )
 from regcert.perturb import (
     GT_KINDS,
@@ -139,6 +139,8 @@ def test_perturb_spec_validation():
     with pytest.raises(ValueError):
         PerturbSpec(family="translation", shape=SHAPE, count=1)
     with pytest.raises(ValueError):
+        PerturbSpec(family="translation", shape=SHAPE, seed=-1)
+    with pytest.raises(ValueError):
         PerturbSpec(family="deform", shape=SHAPE, grid_spacing=1)
     with pytest.raises(ValueError):
         PerturbSpec(family="scale", shape=SHAPE, scale_range=(1.1, 0.9))
@@ -185,8 +187,22 @@ def test_deform2_composes_two_layers_and_inverts():
     assert np.array_equal(composed.displacement, gt.displacement)
     assert all(isinstance(l, BSplineTransform) for l in layers)
     # And the accepted draw really is invertible to the recorded residual.
-    res = invert(gt, tol=1e-3, max_iter=100)
-    assert res.residual == info["inversion_residual_voxels"]
+    _, residual, _ = invert_at(gt, grid_points((32, 32, 32)).reshape(-1, 3), max_iter=100)
+    assert residual == info["inversion_residual_voxels"]
+
+
+def test_deform2_accepts_a_draw_within_invert_tol_voxels():
+    # Attempt 0 of this spec inverts to about 0.24 voxels: above the fixed
+    # point's own 10*tol, yet within the default tolerance of 0.5.
+    shape = (16, 16, 16)
+    _, info = simulate_gt_with_info(GtSpec("deform2", seed=1, node_max=6.9), shape)
+    assert info["attempt"] == 0
+    assert 0.01 < info["inversion_residual_voxels"] <= 0.5
+    _, tight = simulate_gt_with_info(
+        GtSpec("deform2", seed=1, node_max=6.9, invert_tol_voxels=0.2), shape
+    )
+    assert tight["attempt"] == 1
+    assert tight["inversion_residual_voxels"] <= 0.2
 
 
 def test_deform2_displacement_bounded_by_node_sum():
@@ -203,8 +219,9 @@ def test_deform2_displacement_bounded_by_node_sum():
 
 def test_deform2_resample_exhaustion_raises():
     # Full-strength layers fold the domain, so every redraw fails and the
-    # simulator must say so rather than hand back a non-invertible truth.
-    with pytest.raises(ConvergenceError, match="not invertible within"):
+    # simulator must say so, with the last draw's residual, rather than hand
+    # back a non-invertible truth.
+    with pytest.raises(ConvergenceError, match=r"not invertible within .*last residual \d"):
         simulate_gt_with_info(GtSpec("deform2", seed=0, node_max=60.0, max_resample=2), (16, 16, 16))
 
 

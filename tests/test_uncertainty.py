@@ -25,7 +25,6 @@ from regcert.register import (
     RegistrationBackend,
 )
 from regcert.uncertainty import (
-    LEMMA_KINDS,
     REGIME_STRENGTH_MAX,
     decompose_cov,
     estimate_uncertainty,
@@ -588,8 +587,8 @@ def test_deform_lemma_draws_and_inverts_each_perturbation_once(monkeypatch):
     monkeypatch.setattr(OracleBackend, "inverse_positions",
                         counting("inverse", OracleBackend.inverse_positions))
     k = 7
-    rep = verify_lemma("deform", ErrorModel(sigma=0.2, seed=7), PHI, (8, 8, 8),
-                       n_mc=k, strength=0.08)
+    rep = verify_lemma(spec_for("deform", count=k, deform_strength=0.08),
+                       ErrorModel(sigma=0.2, seed=7), PHI)
     assert rep.passed
     assert calls == {"sample": k, "inverse": k, "invert_at": k}
 
@@ -631,11 +630,7 @@ def test_relative_frobenius_all_zero_inputs_give_zeros():
 
 def test_verify_lemma_translation_is_exact_comparison():
     rep = verify_lemma(
-        "translation",
-        ErrorModel(mu=(0.5, 0.0, 0.0), sigma=0.5, seed=0),
-        PHI,
-        (8, 8, 8),
-        n_mc=150,
+        spec_for("translation", count=150), ErrorModel(mu=(0.5, 0.0, 0.0), sigma=0.5, seed=0), PHI
     )
     assert rep.passed
     assert rep.within_tolerance
@@ -648,12 +643,9 @@ def test_verify_lemma_translation_is_exact_comparison():
 
 def test_verify_lemma_deform_within_regime():
     rep = verify_lemma(
-        "deform",
+        spec_for("deform", (10, 10, 10), count=60, deform_strength=0.02),
         ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7),
         PHI,
-        (10, 10, 10),
-        n_mc=60,
-        strength=0.02,
     )
     assert rep.passed and not rep.regime_violation
     assert rep.note == "first-order comparison within regime"
@@ -665,12 +657,9 @@ def test_verify_lemma_deform_within_regime():
 
 def test_verify_lemma_reports_regime_violation():
     rep = verify_lemma(
-        "deform",
+        spec_for("deform", (10, 10, 10), count=40, deform_strength=0.3),
         ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7),
         PHI,
-        (10, 10, 10),
-        n_mc=40,
-        strength=0.3,
     )
     assert rep.regime_violation
     assert rep.passed
@@ -679,15 +668,9 @@ def test_verify_lemma_reports_regime_violation():
     assert REGIME_STRENGTH_MAX < 0.3
 
 
-def test_verify_lemma_unknown_kind():
-    with pytest.raises(ValueError, match="unknown lemma kind"):
-        verify_lemma("spline", ErrorModel(), PHI, (8, 8, 8))
-    assert set(LEMMA_KINDS) == {"translation", "scale", "shear", "affine", "deform"}
-
-
 def test_lemma_report_serializes_to_json():
-    rep = verify_lemma("translation", ErrorModel(mu=(0.5, 0.0, 0.0), sigma=0.5), PHI,
-                       (6, 6, 6), n_mc=50)
+    rep = verify_lemma(spec_for("translation", (6, 6, 6), count=50),
+                       ErrorModel(mu=(0.5, 0.0, 0.0), sigma=0.5), PHI)
     d = rep.to_dict()
     text = json.dumps(d)
     for key in ("kind", "median_rel_error", "mc_bound", "tolerance", "passed", "note"):
