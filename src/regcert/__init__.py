@@ -16,7 +16,6 @@ from .geometry import (
     compose,
     dense,
     grid_points,
-    identity_transform,
     invert,
 )
 from .metrics import (

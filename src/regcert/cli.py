@@ -101,13 +101,16 @@ def _convert(value, kind):
     return kind(value)
 
 
-def _number(sec: dict, key: str, default, kind=int):
-    """sec[key] (or the default) converted by kind; a bad value is a config error."""
+def _number(sec: dict, key: str, default, kind=int, low=None):
+    """sec[key] (or the default) converted by kind, and >= low if given; else a config error."""
     value = sec.get(key, default)
     try:
-        return _convert(value, kind)
+        number = _convert(value, kind)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from exc
+    if low is not None and number < low:
+        raise ConfigError(f"{key!r} must be >= {low}, got {number!r}")
+    return number
 
 
 def _sanitize(obj):
@@ -207,7 +210,7 @@ def _build_error_model(sec: dict, seed: int) -> ErrorModel:
             sigma=sigma,
             mu_scale=sec.get("mu_scale"),
             sigma_scale=sec.get("sigma_scale"),
-            seed=_number(sec, "seed", seed),
+            seed=_number(sec, "seed", seed, low=0),
             **kw,
         )
     except (TypeError, ValueError) as exc:
@@ -278,7 +281,7 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
     else:
         shape = _shape(cfg.get("shape"), "shape")
         sec = _section(cfg, "phantom", ("kind", "seed"))
-        phantom_seed = _number(sec, "seed", seed)
+        phantom_seed = _number(sec, "seed", seed, low=0)
         try:
             source = make_phantom(shape, sec.get("kind", "blobs"), seed=phantom_seed)
         except ValueError as exc:
@@ -350,9 +353,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
 
 def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
     sec = _section(cfg, "evaluate", ("bins", "mask_path"))
-    bins = _number(sec, "bins", 20)
-    if bins < 1:
-        raise ConfigError(f"'bins' must be >= 1, got {bins}")
+    bins = _number(sec, "bins", 20, low=1)
     u_vol = read_volume(out_dir / "u.rcv")
     pred = _dense_from_file(out_dir / "pred.rcv")
     truth = _truth_from(out_dir)
@@ -373,12 +374,11 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
     write_volume(out_dir / "error.rcv", _on_grid_of(u_vol, err.values))
     _write_json(out_dir / "metrics.json", metrics)
     header = ("coverage", "risk", "bin_mean_uncertainty")
-    points = zip(curve.coverage, curve.risk, curve.bin_mean_uncertainty)
-    _write_csv(out_dir / "risk_coverage.csv", header, ([repr(float(v)) for v in p] for p in points))
+    columns = (curve.coverage, curve.risk, curve.bin_mean_uncertainty)
+    _write_csv(out_dir / "risk_coverage.csv", header, zip(*(c.tolist() for c in columns)))
     binned = bin_curve(curve, bins)
-    _write_csv(
-        out_dir / "risk_coverage_binned.csv", header, ([repr(r[k]) for k in header] for r in binned)
-    )
+    _write_csv(out_dir / "risk_coverage_binned.csv", header,
+               ([r[k] for k in header] for r in binned))
     shown = {k: v for k, v in metrics.items() if k in ("pearson", "spearman", "naurc")}
     print(f"metrics: {_sanitize(shown)}")
     return 0
@@ -410,9 +410,7 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
     for case in _objects(sec.get("mse", []), "lemma mse case"):
         _known_keys(case, _LEMMA_MSE_KEYS, "lemma mse case")
         model = _build_error_model(_object(case.get("model", {}), "mse case 'model'"), seed)
-        draws = _number(case, "draws", 2000)
-        if draws < 2:
-            raise ConfigError(f"'draws' must be >= 2, got {draws}")
+        draws = _number(case, "draws", 2000, low=2)
         cases.append((model, draws))
     reports = []
     all_ok = True
@@ -489,16 +487,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        # A flag overrides its config value and passes the same check.
+        given = {**cfg, **{k: v for k, v in vars(args).items()
+                           if k in ("seed", "threads") and v is not None}}
+        seed = _number(given, "seed", 0, low=0)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else _number(cfg, "seed", 0)
         if args.command == "simulate-pair":
             return cmd_simulate_pair(cfg, out_dir, seed, nifti_path=args.import_nifti)
         if args.command == "estimate":
-            threads = args.threads if args.threads is not None else _number(cfg, "threads", 1)
-            if threads < 1:
-                raise ConfigError("threads must be >= 1")
-            return cmd_estimate(cfg, out_dir, seed, threads)
+            return cmd_estimate(cfg, out_dir, seed, _number(given, "threads", 1, low=1))
         if args.command == "evaluate":
             return cmd_evaluate(cfg, out_dir, seed)
         return cmd_lemma_check(cfg, out_dir, seed)

@@ -24,7 +24,6 @@ __all__ = [
     "AffineTransform",
     "BSplineTransform",
     "DenseTransform",
-    "identity_transform",
     "is_linear",
     "grid_points",
     "trilinear_sample",
@@ -360,10 +359,6 @@ class DenseTransform(Transform):
 
     def __repr__(self):
         return f"DenseTransform(shape={self.shape})"
-
-
-def identity_transform() -> TranslationTransform:
-    return TranslationTransform((0.0, 0.0, 0.0))
 
 
 def dense(t: Transform, shape) -> DenseTransform:

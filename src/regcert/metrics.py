@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import DenseTransform, Transform, grid_points, identity_transform
+from .geometry import DenseTransform, Transform, TranslationTransform, grid_points
 from .register import OracleBackend
 from .volume import RoiMask, Volume3
 
@@ -239,7 +239,7 @@ def mse_decomposition_check(
         eps = grid + out.displacement.reshape(-1, 3) - phi_pos
         acc += (eps * eps).sum(axis=1)
     empirical = (acc / draws).reshape(shape)
-    tau0 = identity_transform()
+    tau0 = TranslationTransform((0.0, 0.0, 0.0))
     mu = oracle.error_model.mean(tau0, grid)
     sig = oracle.error_model.cov(tau0)
     expected = ((mu * mu).sum(axis=1) + np.trace(sig)).reshape(shape)

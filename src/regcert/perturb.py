@@ -50,6 +50,20 @@ def _check_shape(shape):
     return shape
 
 
+def _check_magnitudes(spec) -> None:
+    """Checks of the fields PerturbSpec and GtSpec share; normalises scale_range."""
+    object.__setattr__(spec, "scale_range", tuple(float(s) for s in spec.scale_range))
+    lo, hi = spec.scale_range
+    for ok, rule in ((spec.seed >= 0, "seed must be >= 0"),
+                     (spec.translation_fraction >= 0, "translation_fraction must be >= 0"),
+                     (0 < lo <= hi, f"bad scale range {spec.scale_range}"),
+                     (spec.shear_max >= 0, "shear_max must be >= 0"),
+                     (spec.grid_spacing >= 2, "grid_spacing must be >= 2"),
+                     (spec.node_max >= 0, "node_max must be >= 0")):
+        if not ok:
+            raise ValueError(rule)
+
+
 @dataclass(frozen=True)
 class PerturbSpec:
     """What to draw when perturbing the source image.
@@ -78,22 +92,11 @@ class PerturbSpec:
                 f"unknown perturbation family {self.family!r}; expected one of {PERTURB_FAMILIES}"
             )
         object.__setattr__(self, "shape", _check_shape(self.shape))
-        object.__setattr__(self, "scale_range", tuple(float(s) for s in self.scale_range))
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_magnitudes(self)
         if self.count < 2:
             raise ValueError("perturbation count must be >= 2")
-        if self.translation_fraction < 0:
-            raise ValueError("translation_fraction must be >= 0")
-        lo, hi = self.scale_range
-        if not (0 < lo <= hi):
-            raise ValueError(f"bad scale range {self.scale_range}")
-        if self.shear_max < 0:
-            raise ValueError("shear_max must be >= 0")
-        if self.grid_spacing < 2:
-            raise ValueError("grid_spacing must be >= 2")
-        if self.node_max < 0 or self.deform_strength < 0:
-            raise ValueError("node_max and deform_strength must be >= 0")
+        if self.deform_strength < 0:
+            raise ValueError("deform_strength must be >= 0")
 
 
 def _center(shape) -> np.ndarray:
@@ -170,7 +173,7 @@ class GtSpec:
     def __post_init__(self):
         if self.kind not in GT_KINDS:
             raise ValueError(f"unknown ground-truth kind {self.kind!r}; expected one of {GT_KINDS}")
-        object.__setattr__(self, "scale_range", tuple(float(s) for s in self.scale_range))
+        _check_magnitudes(self)
         if self.max_resample < 1:
             raise ValueError("max_resample must be >= 1")
         if self.invert_tol_voxels <= 0:

@@ -21,7 +21,6 @@ from .geometry import (
     Transform,
     TranslationTransform,
     grid_points,
-    identity_transform,
     invert,
     invert_at,
     is_linear,
@@ -167,21 +166,24 @@ class Registration:
 
     The transform is in the solver's own form; geometry.dense renders it on a
     grid.  log holds one row per solver iteration, log_header names its
-    columns, and iterations, final_ssd and diverged say how the solver ended
-    (a backend without a solver keeps the defaults).  The oracle also returns
-    inverted_positions, tau^-1(phi(y)) at the target's voxels as a read-only
-    (V, 3) array, and the round-trip residual of that inversion
-    (inversion_residual, 0.0 where no inversion ran).
+    columns, and iterations (the log's length), final_ssd and diverged say
+    how the solver ended (a backend without a solver keeps the defaults).
+    The oracle also returns inverted_positions, tau^-1(phi(y)) at the
+    target's voxels as a read-only (V, 3) array, and the round-trip residual
+    of that inversion (inversion_residual, 0.0 where no inversion ran).
     """
 
     transform: Transform
     log: tuple = field(repr=False, default=())
     log_header: tuple = ()
-    iterations: int = 0
     final_ssd: float | None = None
     diverged: bool = False
     inverted_positions: np.ndarray | None = field(repr=False, compare=False, default=None)
     inversion_residual: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log)
 
 
 class RegistrationBackend:
@@ -195,7 +197,6 @@ class RegistrationBackend:
     source and skips warping it through each perturbation.
     """
 
-    name = "backend"
     reads_images = True
 
     def register(
@@ -217,7 +218,6 @@ class OracleBackend(RegistrationBackend):
     reproducible regardless of evaluation order.
     """
 
-    name = "oracle"
     reads_images = False
 
     def __init__(
@@ -248,7 +248,7 @@ class OracleBackend(RegistrationBackend):
         phi_pos = self.true_transform.apply(grid)
         if perturbation is None:
             positions, residual = phi_pos, 0.0
-            tau_eff: Transform = identity_transform()
+            tau_eff: Transform = TranslationTransform((0.0, 0.0, 0.0))
         else:
             positions, residual = self.inverse_positions(perturbation, phi_pos)
             tau_eff = perturbation
@@ -355,6 +355,11 @@ def _ssd_level(src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray,
     return best_a, b_out, best_e, diverged
 
 
+def _check_ssd_params(levels, iters, step) -> None:
+    if levels < 1 or iters < 1 or step <= 0:
+        raise ValueError("need levels >= 1, iters >= 1, step > 0")
+
+
 def affine_ssd_register(
     source: Volume3,
     target: Volume3,
@@ -373,8 +378,7 @@ def affine_ssd_register(
         raise ValueError(f"shape mismatch: source {source.shape} vs target {target.shape}")
     if source.channels != 1 or target.channels != 1:
         raise ValueError("affine_ssd_register expects 1-channel volumes")
-    if levels < 1 or iters < 1 or step <= 0:
-        raise ValueError("need levels >= 1, iters >= 1, step > 0")
+    _check_ssd_params(levels, iters, step)
     src_pyr = _pyramid(source.scalar, levels)
     tgt_pyr = _pyramid(target.scalar, levels)
     n_levels = min(len(src_pyr), len(tgt_pyr))
@@ -392,7 +396,12 @@ def affine_ssd_register(
         diverged = diverged or div
         b = b_l * scale
     return Registration(AffineTransform(a, b), tuple(log), ("level", "iteration", "ssd", "step"),
-                        iterations=len(log), final_ssd=final_e, diverged=diverged)
+                        final_ssd=final_e, diverged=diverged)
+
+
+def _check_demons_params(iters, smooth_sigma) -> None:
+    if iters < 1 or smooth_sigma < 0:
+        raise ValueError("need iters >= 1 and smooth_sigma >= 0")
 
 
 def demons_register(
@@ -411,8 +420,7 @@ def demons_register(
         raise ValueError(f"shape mismatch: source {source.shape} vs target {target.shape}")
     if source.channels != 1 or target.channels != 1:
         raise ValueError("demons_register expects 1-channel volumes")
-    if iters < 1 or smooth_sigma < 0:
-        raise ValueError("need iters >= 1 and smooth_sigma >= 0")
+    _check_demons_params(iters, smooth_sigma)
     shape = target.shape
     grid = grid_points(shape).reshape(-1, 3)
     tgt = target.scalar.astype(np.float64)
@@ -435,7 +443,7 @@ def demons_register(
     # describes the field that is returned.
     final = tgt - trilinear_sample(src, grid + disp.reshape(-1, 3)).reshape(shape)
     return Registration(DenseTransform(disp), tuple(log), ("iteration", "ssd"),
-                        iterations=iters, final_ssd=float(np.mean(final * final)))
+                        final_ssd=float(np.mean(final * final)))
 
 
 @dataclass(frozen=True)
@@ -444,7 +452,8 @@ class AffineSsdBackend(RegistrationBackend):
     iters: int = 80
     step: float = 0.5
 
-    name = "affine_ssd"
+    def __post_init__(self):
+        _check_ssd_params(self.levels, self.iters, self.step)
 
     def register(self, source, target, perturbation=None, nonce=0):
         return affine_ssd_register(
@@ -457,7 +466,8 @@ class DemonsBackend(RegistrationBackend):
     iters: int = 60
     smooth_sigma: float = 1.0
 
-    name = "demons"
+    def __post_init__(self):
+        _check_demons_params(self.iters, self.smooth_sigma)
 
     def register(self, source, target, perturbation=None, nonce=0):
         return demons_register(source, target, iters=self.iters, smooth_sigma=self.smooth_sigma)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import DenseTransform, Transform, dense, grid_points, is_linear
+from .geometry import DenseTransform, Transform, dense, grid_points
 from .perturb import PerturbSpec, sample_perturbation
 from .register import ErrorModel, OracleBackend, RegistrationBackend
 from .volume import Volume3, make_phantom, warp
@@ -216,7 +216,6 @@ class CovDecomposition:
 
     intrinsic: np.ndarray
     jitter: np.ndarray
-    max_inversion_residual: float
 
     @property
     def total(self) -> np.ndarray:
@@ -246,14 +245,10 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec) -> CovDecomposition
     phi_pos = backend.true_transform.apply(grid)
     intr = np.zeros((len(grid), 6), dtype=np.float64)
     jitter = _Moments()
-    max_residual = 0.0
     for m in range(spec.count):
         tau = sample_perturbation(spec, m)
-        v, residual = backend.inverse_positions(tau, phi_pos)
-        max_residual = max(max_residual, residual)
-        # A linear tau has one Jacobian: taken once as (1, 3, 3), it and its
-        # J Sigma J^T broadcast over the voxels instead of being rebuilt at each.
-        jac = tau.jacobian(v[:1] if is_linear(tau) else v)
+        v, _ = backend.inverse_positions(tau, phi_pos)
+        jac = tau.jacobian(v)
         sig = backend.error_model.cov(tau)
         if np.any(sig):
             js = jac @ sig
@@ -268,7 +263,6 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec) -> CovDecomposition
     return CovDecomposition(
         intrinsic=intr.reshape(shape + (6,)),
         jitter=jit.reshape(shape + (6,)),
-        max_inversion_residual=max_residual,
     )
 
 
@@ -362,11 +356,9 @@ def verify_lemma(spec: PerturbSpec, model: ErrorModel, phi: Transform) -> LemmaC
     backend = OracleBackend(phi, model, lenient_inversion=is_deform)
     if is_deform:
         est, closed = _estimate_and_linearize(backend, source, target, spec)
-        max_residual = est.max_inversion_residual
     else:
         est = estimate_uncertainty(backend, source, target, spec)
-        dec = decompose_cov(backend, spec)
-        closed, max_residual = dec.total, dec.max_inversion_residual
+        closed = decompose_cov(backend, spec).total
     rel = relative_frobenius(est.cov, closed)
     median = float(np.median(rel))
     central = float(rel[_central_box(shape)].max())
@@ -395,6 +387,6 @@ def verify_lemma(spec: PerturbSpec, model: ErrorModel, phi: Transform) -> LemmaC
         within_tolerance=within,
         regime_violation=regime,
         passed=within or regime,
-        max_inversion_residual=max_residual,
+        max_inversion_residual=est.max_inversion_residual,
         note=note,
     )

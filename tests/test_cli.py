@@ -581,6 +581,26 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         ("lemma-check", lemma_cfg({"kind": "affine"}, n_mc=1), "'n_mc'"),
         ("lemma-check", lemma_cfg({"kind": "affine", "seed": -1}), "'seed'"),
         ("lemma-check", lemma_cfg(mse=[{"draws": 1}]), "'draws'"),
+        # Backend values the solvers reject are read as config, not hit at sample 0.
+        ("estimate", {"backend": {"kind": "affine_ssd", "levels": 0}}, "'levels'"),
+        ("estimate", {"backend": {"kind": "affine_ssd", "step": 0}}, "'step'"),
+        ("estimate", {"backend": {"kind": "demons", "smooth_sigma": -1}}, "'smooth_sigma'"),
+        # GtSpec checks the magnitudes it shares with PerturbSpec.
+        ("simulate-pair", {"shape": [16, 16, 16], "gt": {"seed": -1}}, "'seed'"),
+        ("simulate-pair", {"shape": [16, 16, 16], "gt": {"kind": "deform2", "grid_spacing": 1}},
+         "'grid_spacing'"),
+        ("simulate-pair", {"shape": [16, 16, 16], "gt": {"kind": "affine", "scale_range": [0, 0]}},
+         "'scale_range'"),
+        # Every seed is checked while the config is read.
+        ("simulate-pair", {"shape": [16, 16, 16], "seed": -1}, "'seed'"),
+        ("simulate-pair", {"shape": [16, 16, 16], "phantom": {"seed": -1}}, "'seed'"),
+        (
+            "estimate",
+            oracle_est_cfg(count=4, backend={"kind": "oracle", "error_model": {"seed": -1}}),
+            "'seed'",
+        ),
+        ("lemma-check", lemma_cfg({"kind": "affine", "model": {"sigma": 0.5, "seed": -1}}),
+         "'seed'"),
     ],
     ids=[
         "seed",
@@ -620,6 +640,16 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         "lemma-n_mc",
         "check-seed",
         "mse-draws",
+        "affine-ssd-levels",
+        "affine-ssd-step",
+        "demons-smooth-sigma",
+        "gt-seed",
+        "gt-grid-spacing",
+        "gt-scale-range",
+        "negative-seed",
+        "phantom-negative-seed",
+        "oracle-model-negative-seed",
+        "check-model-negative-seed",
     ],
 )
 def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
@@ -644,7 +674,18 @@ def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
     unwritten = ["error.rcv", "metrics.json", "risk_coverage.csv", "lemma_report.json"]
     if command != "evaluate":
         unwritten.append("estimate.json")
+    if command == "simulate-pair":
+        unwritten.append("source.rcv")
     assert [name for name in unwritten if (out / name).exists()] == []
+
+
+def test_negative_seed_flag_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", base_sim_cfg())
+    out = tmp_path / "o"
+    rc = main(["simulate-pair", "--config", cfg, "--out", str(out), "--seed", "-1"])
+    assert rc == 1
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integral_config_values_are_accepted(tmp_path):

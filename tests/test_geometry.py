@@ -20,7 +20,6 @@ from regcert.geometry import (
     compose,
     dense,
     grid_points,
-    identity_transform,
     invert,
     invert_at,
     trilinear_sample,
@@ -465,7 +464,7 @@ def test_invert_at_off_grid_round_trip():
 
 
 def test_invert_at_validation():
-    t = identity_transform()
+    t = TranslationTransform((0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="tol > 0"):
         invert_at(t, np.zeros((1, 3)), tol=0.0)
     with pytest.raises(ValueError, match="max_iter >= 1"):

@@ -415,7 +415,6 @@ def test_translation_intrinsic_is_model_covariance():
     want = np.array([0.04, 0.0, 0.0, 0.09, 0.0, 0.16])
     assert np.max(np.abs(dec.intrinsic - want)) < 1e-15
     assert np.array_equal(dec.jitter, np.zeros((6, 6, 6, 6)))
-    assert dec.max_inversion_residual == 0.0
 
 
 def test_scaled_mean_jitter_matches_hand_computation():
