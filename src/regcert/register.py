@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .geometry import (
     AffineTransform,
@@ -124,6 +123,8 @@ class ErrorModel:
                 )
         self.mu_scale = mu_scale
         self.sigma_scale = sigma_scale
+        if isinstance(seed, bool) or seed != int(seed) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
 
     def mean(self, tau: Transform, pts: np.ndarray) -> np.ndarray:
@@ -258,6 +259,42 @@ class OracleBackend(RegistrationBackend):
                             inverted_positions=positions, inversion_residual=residual)
 
 
+def _gaussian(arr: np.ndarray, sigma: float, step: int = 1) -> np.ndarray:
+    """Gaussian smoothing of the last three axes, keeping every step-th voxel of each.
+
+    Bit for bit scipy.ndimage.gaussian_filter(arr, sigma, mode="nearest")
+    [..., ::step, ::step, ::step], because it repeats scipy's arithmetic: a
+    kernel exp(-x^2 / 2 sigma^2) / sum of radius int(4 sigma + 0.5), edges
+    extended, each output x_0 w_0 plus (x_-j + x_j) w_j from the outermost
+    pair inwards in float64, and each axis's result stored in arr's dtype.
+    Like scipy, sigma <= 1e-15 leaves the values as they are.
+    """
+    if sigma <= 1e-15:
+        return arr[..., ::step, ::step, ::step].copy()
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    out = arr
+    for _ in range(3):
+        # The filtered axis comes first among the three and is rotated last
+        # afterwards, so every pass reads contiguous blocks.
+        n = out.shape[-3]
+        pad = np.empty(out.shape[:-3] + (n + 2 * radius,) + out.shape[-2:])
+        pad[..., radius:radius + n, :, :] = out
+        pad[..., :radius, :, :] = out[..., :1, :, :]
+        pad[..., radius + n:, :, :] = out[..., -1:, :, :]
+        acc = pad[..., radius:radius + n:step, :, :] * w[radius]
+        pair = np.empty_like(acc)
+        for j in range(radius, 0, -1):
+            np.add(pad[..., radius - j:radius - j + n:step, :, :],
+                   pad[..., radius + j:radius + j + n:step, :, :], out=pair)
+            pair *= w[radius - j]
+            acc += pair
+        out = np.moveaxis(acc.astype(arr.dtype, copy=False), -3, -1)
+    return np.ascontiguousarray(out)
+
+
 def _pyramid(arr: np.ndarray, levels: int, min_size: int = 8):
     """Smooth-and-decimate pyramid, finest first; coarse voxel i = fine voxel 2i."""
     out = [arr]
@@ -265,8 +302,7 @@ def _pyramid(arr: np.ndarray, levels: int, min_size: int = 8):
         prev = out[-1]
         if min(prev.shape) < 2 * min_size:
             break
-        sm = gaussian_filter(prev, sigma=1.0, mode="nearest")
-        out.append(sm[::2, ::2, ::2])
+        out.append(_gaussian(prev, 1.0, step=2))
     return out
 
 
@@ -425,25 +461,25 @@ def demons_register(
     grid = grid_points(shape).reshape(-1, 3)
     tgt = target.scalar.astype(np.float64)
     src = source.scalar
-    disp = np.zeros(shape + (3,), dtype=np.float64)
+    # Channel-major (3, nx, ny, nz), so the three components smooth in one call.
+    disp = np.zeros((3,) + shape, dtype=np.float64)
     log = []
     for it in range(iters):
-        warped = trilinear_sample(src, grid + disp.reshape(-1, 3)).reshape(shape)
+        warped = trilinear_sample(src, grid + disp.reshape(3, -1).T).reshape(shape)
         diff = tgt - warped
-        grad = _image_gradient(warped)
-        denom = (grad * grad).sum(axis=-1) + diff * diff
+        grad = np.array(np.gradient(warped))
+        denom = grad[0] * grad[0] + grad[1] * grad[1] + grad[2] * grad[2] + diff * diff
         safe = np.where(denom > 1e-12, denom, 1.0)
         scale = np.where(denom > 1e-12, diff / safe, 0.0)
-        disp += scale[..., None] * grad
+        disp += scale * grad
         if smooth_sigma > 0:
-            for ax in range(3):
-                disp[..., ax] = gaussian_filter(disp[..., ax], sigma=smooth_sigma, mode="nearest")
+            disp = _gaussian(disp, smooth_sigma)
         log.append((it, float(np.mean(diff * diff))))
     # The log rows describe the field each update started from; final_ssd
     # describes the field that is returned.
-    final = tgt - trilinear_sample(src, grid + disp.reshape(-1, 3)).reshape(shape)
-    return Registration(DenseTransform(disp), tuple(log), ("iteration", "ssd"),
-                        final_ssd=float(np.mean(final * final)))
+    final = tgt - trilinear_sample(src, grid + disp.reshape(3, -1).T).reshape(shape)
+    return Registration(DenseTransform(np.moveaxis(disp, 0, -1).copy()), tuple(log),
+                        ("iteration", "ssd"), final_ssd=float(np.mean(final * final)))
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,6 @@ _TRACE_IDX = (0, 3, 5)
 REGIME_STRENGTH_MAX = 0.15
 
 
-def tri_to_matrices(tri: np.ndarray) -> np.ndarray:
-    """(..., 6) upper-triangle components -> (..., 3, 3) symmetric matrices."""
-    out = np.empty(tri.shape[:-1] + (3, 3), dtype=tri.dtype)
-    for k, (i, j) in enumerate(_TRI):
-        out[..., i, j] = tri[..., k]
-        out[..., j, i] = tri[..., k]
-    return out
-
-
 def _outer_tri(vecs: np.ndarray) -> np.ndarray:
     """(N, 3) -> (N, 6) upper-triangle components of v v^T."""
     out = np.empty((len(vecs), 6), dtype=np.float64)

@@ -1,13 +1,25 @@
-"""Closed-form covariance reference for affine perturbations at one point.
+"""Test references that are not part of the library.
 
-A test reference, not part of the library: criterion 3 checks the estimator
-against it at one voxel, and the uncertainty tests check it against a hand
-example and against decompose_cov.
+closed_form_cov_affine is the closed-form covariance for affine
+perturbations at one point: criterion 3 checks the estimator against it at
+one voxel, and the uncertainty tests check it against a hand example and
+against decompose_cov.  tri_to_matrices unpacks the estimator's per-voxel
+covariance components for comparison with full matrices.
 """
 
 import numpy as np
 
 from regcert.register import ErrorModel
+from regcert.uncertainty import _TRI
+
+
+def tri_to_matrices(tri: np.ndarray) -> np.ndarray:
+    """(..., 6) upper-triangle components -> (..., 3, 3) symmetric matrices."""
+    out = np.empty(tri.shape[:-1] + (3, 3), dtype=tri.dtype)
+    for k, (i, j) in enumerate(_TRI):
+        out[..., i, j] = tri[..., k]
+        out[..., j, i] = tri[..., k]
+    return out
 
 
 def closed_form_cov_affine(samples, model: ErrorModel, y) -> tuple[np.ndarray, np.ndarray]:

@@ -29,12 +29,11 @@ from regcert.uncertainty import (
     estimate_uncertainty,
     mc_relative_bound,
     relative_frobenius,
-    tri_to_matrices,
     verify_lemma,
 )
 from regcert.volume import RoiMask, Volume3
 
-from closed_form import closed_form_cov_affine
+from closed_form import closed_form_cov_affine, tri_to_matrices
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
 _TRI_ROWS = ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])

@@ -12,6 +12,7 @@ import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,28 +95,40 @@ def test_module_help_runs_as_subprocess():
     assert "lemma-check" in proc.stdout
 
 
-def test_pair_stages_never_import_scipy_stats(tmp_path):
-    # scipy.stats costs more start-up than the rest of the package together,
-    # and every stage is its own process; a lazy import would hide from a
-    # check on `import regcert.cli` alone, so the child runs all three stages.
-    out = tmp_path / "pair"
+def test_stages_run_without_scipy(tmp_path):
+    # The runtime needs numpy only, and every stage is its own process.  The
+    # child blocks scipy before the first import and runs each stage with
+    # each solver, so the pyramid and the demons smoothing really run.
     sim = write_cfg(tmp_path, "sim.json", base_sim_cfg(shape=[16, 16, 16]))
-    est = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
     ev = write_cfg(tmp_path, "ev.json", {})
+    runs = []
+    for kind in ("affine_ssd", "demons"):
+        est = {"perturb": {"family": "translation", "count": 2},
+               "backend": {"kind": kind, "iters": 1}}
+        runs.append((write_cfg(tmp_path, f"{kind}.json", est), str(tmp_path / kind)))
+    lemma = write_cfg(tmp_path, "lemma.json", {
+        "lemma": {"grid": [8, 8, 8], "n_mc": 4, "checks": [{"kind": "translation"}]}})
     child = (
         "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from regcert.cli import main\n"
-        "sim, est, ev, out = sys.argv[1:]\n"
-        "for cmd, cfg in (('simulate-pair', sim), ('estimate', est), ('evaluate', ev)):\n"
-        "    assert main([cmd, '--config', cfg, '--out', out]) == 0, cmd\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats'])))\n"
+        "sim, ev, lemma, lemma_out = sys.argv[1:5]\n"
+        "for est, out in json.loads(sys.argv[5]):\n"
+        "    for cmd, cfg in (('simulate-pair', sim), ('estimate', est), ('evaluate', ev)):\n"
+        "        assert main([cmd, '--config', cfg, '--out', out]) == 0, (cmd, est)\n"
+        "assert main(['lemma-check', '--config', lemma, '--out', lemma_out]) == 0\n"
+        "print(json.dumps(sorted(m for m, mod in sys.modules.items()\n"
+        "                        if m.split('.')[0] == 'scipy' and mod is not None)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", child, sim, est, ev, str(out)], capture_output=True, text=True
+        [sys.executable, "-c", child, sim, ev, lemma, str(tmp_path / "lemma"), json.dumps(runs)],
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
-    assert isinstance(json.loads((out / "metrics.json").read_text())["spearman"], float)
+    for _, out in runs:
+        assert isinstance(json.loads((Path(out) / "metrics.json").read_text())["spearman"], float)
+        assert (Path(out) / "solver_log.csv").is_file()
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +598,9 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         ("estimate", {"backend": {"kind": "affine_ssd", "levels": 0}}, "'levels'"),
         ("estimate", {"backend": {"kind": "affine_ssd", "step": 0}}, "'step'"),
         ("estimate", {"backend": {"kind": "demons", "smooth_sigma": -1}}, "'smooth_sigma'"),
+        # ... also where no pair has been simulated yet ("@empty": an empty directory).
+        ("estimate@empty", {"backend": {"kind": "affine_ssd", "levels": 0}}, "'levels'"),
+        ("estimate@empty", {"estimate": {"unbiased": 1}}, "'unbiased'"),
         # GtSpec checks the magnitudes it shares with PerturbSpec.
         ("simulate-pair", {"shape": [16, 16, 16], "gt": {"seed": -1}}, "'seed'"),
         ("simulate-pair", {"shape": [16, 16, 16], "gt": {"kind": "deform2", "grid_spacing": 1}},
@@ -643,6 +659,8 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         "affine-ssd-levels",
         "affine-ssd-step",
         "demons-smooth-sigma",
+        "affine-ssd-levels-no-pair",
+        "unbiased-no-pair",
         "gt-seed",
         "gt-grid-spacing",
         "gt-scale-range",
@@ -654,7 +672,8 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
 )
 def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
     out = tmp_path / "o"
-    if command in ("estimate", "evaluate"):
+    command, _, empty = command.partition("@")
+    if command in ("estimate", "evaluate") and not empty:
         simulate(tmp_path, out, base_sim_cfg(shape=[16, 16, 16]))
     if command == "evaluate":
         est = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-# The reference for the average ranks; only the tests load scipy.stats
-# (see test_pair_stages_never_import_scipy_stats).
+# The reference for the average ranks; only the tests load scipy
+# (see test_stages_run_without_scipy).
 from scipy.stats import rankdata
 
 from regcert.geometry import DenseTransform, TranslationTransform, grid_points

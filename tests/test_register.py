@@ -9,6 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+# The reference for register._gaussian; only the tests load scipy
+# (see test_stages_run_without_scipy).
+from scipy.ndimage import gaussian_filter
+
 from regcert.geometry import (
     AffineTransform,
     TranslationTransform,
@@ -70,6 +74,14 @@ def test_mu_validation():
         ErrorModel(mu=(np.nan, 0.0, 0.0))
     with pytest.raises(ValueError, match="mu_field"):
         ErrorModel(mu_field=np.zeros((4, 4, 4, 2)))
+
+
+@pytest.mark.parametrize("seed", [-1, 2.7, True])
+def test_error_model_rejects_bad_seeds(seed):
+    # Rejected where the model is built, not at its first sample.
+    with pytest.raises(ValueError, match="seed"):
+        ErrorModel(sigma=0.5, seed=seed)
+    assert ErrorModel(sigma=0.5, seed=2.0).seed == 2
 
 
 def test_unknown_scale_function_rejected():
@@ -338,6 +350,47 @@ def test_affine_ssd_validation():
         affine_ssd_register(Volume3(np.zeros((8, 8, 8, 3))), Volume3(np.zeros((8, 8, 8, 3))))
     with pytest.raises(ValueError, match="levels"):
         affine_ssd_register(a, a, levels=0)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian smoothing: bitwise scipy.ndimage.gaussian_filter(mode="nearest")
+
+
+def _scipy_gaussian(arr, sigma):
+    return gaussian_filter(arr, sigma=sigma, mode="nearest")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.7, 1e-170])
+def test_gaussian_is_scipys_bit_for_bit(dtype, sigma):
+    arr = np.random.default_rng(3).standard_normal((13, 20, 9)).astype(dtype)
+    got = register._gaussian(arr, sigma)
+    want = _scipy_gaussian(arr, sigma)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gaussian_axis_shorter_than_its_radius():
+    # Radius int(4 * 1.5 + 0.5) = 6 exceeds the first axis: the edge repeats.
+    arr = np.random.default_rng(4).standard_normal((3, 20, 9)).astype(np.float32)
+    assert register._gaussian(arr, 1.5).tobytes() == _scipy_gaussian(arr, 1.5).tobytes()
+
+
+def test_pyramid_level_is_filter_then_decimate():
+    fine = make_phantom((36, 34, 33), "blobs", seed=2).scalar
+    _, coarse = register._pyramid(fine, levels=2)
+    want = _scipy_gaussian(fine, 1.0)[::2, ::2, ::2]
+    assert coarse.shape == want.shape
+    assert coarse.tobytes() == want.tobytes()
+
+
+def test_one_call_field_smoothing_equals_per_component_loop():
+    field = np.random.default_rng(5).standard_normal((10, 12, 11, 3))
+    want = field.copy()
+    for ax in range(3):
+        want[..., ax] = _scipy_gaussian(want[..., ax], 1.0)
+    got = register._gaussian(np.ascontiguousarray(np.moveaxis(field, -1, 0)), 1.0)
+    assert np.moveaxis(got, 0, -1).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

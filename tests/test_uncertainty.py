@@ -30,13 +30,12 @@ from regcert.uncertainty import (
     estimate_uncertainty,
     mc_relative_bound,
     relative_frobenius,
-    tri_to_matrices,
     verify_lemma,
 )
 from regcert.uncertainty import _TRI, _estimate_and_linearize, _Moments
 from regcert.volume import Volume3, make_phantom, warp
 
-from closed_form import closed_form_cov_affine
+from closed_form import closed_form_cov_affine, tri_to_matrices
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
 
