@@ -1,11 +1,12 @@
 """Command-line pipeline: simulate-pair, estimate, evaluate, lemma-check.
 
-One JSON config drives all commands; a section's unset keys keep the
-defaults of the object it configures (PerturbSpec, GtSpec, the backends),
-an unknown key is a config error, and every resolved value is echoed into
-the output metadata, so runs are self-describing.  Outputs land in a flat
-directory under fixed names: simulate-pair writes source.rcv, target.rcv,
-gt.rcv, gt.json; estimate writes u.rcv, cov.rcv, mean.rcv, pred.rcv,
+One JSON config drives all commands.  A section that builds an object
+takes that object's parameters as keys, an unset key keeps its default,
+and any other key is a config error.  The output metadata echoes the
+specs as built and the backend section as given with its kind and seed,
+so runs are self-describing.  Outputs land in a flat directory under
+fixed names: simulate-pair writes source.rcv, target.rcv, gt.rcv,
+gt.json; estimate writes u.rcv, cov.rcv, mean.rcv, pred.rcv,
 estimate.json, solver_log.csv (affine_ssd, demons), intrinsic.rcv and
 jitter.rcv (oracle); evaluate writes error.rcv, metrics.json,
 risk_coverage.csv, risk_coverage_binned.csv; lemma-check writes
@@ -18,12 +19,13 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import inspect
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +99,9 @@ def _section(cfg: dict, name: str, keys=None) -> dict:
 
 
 def _convert(value, kind):
-    """value converted by kind; a boolean, or a non-integral value for int, raises."""
-    if isinstance(value, bool) or (kind is int and value != int(value)):
+    """value converted by kind; anything but a finite JSON number, or a fraction for int, raises."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value)) or (kind is int and value != int(value)):
         raise ValueError(f"not {kind.__name__}")
     return kind(value)
 
@@ -113,6 +116,15 @@ def _number(sec: dict, key: str, default, kind=int, low=None):
     if low is not None and number < low:
         raise ConfigError(f"{key!r} must be >= {low}, got {number!r}")
     return number
+
+
+def _path(sec: dict, key: str):
+    """sec[key] as a path string, or None where it is unset or empty."""
+    path = sec.get(key)
+    # Any other value is a mistake: open() takes an integer for a file descriptor.
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"{key!r} must be a path string, got {path!r}")
+    return path or None
 
 
 def _sanitize(obj):
@@ -164,87 +176,97 @@ def _known_keys(sec: dict, names, what: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in config section {what!r}")
 
 
-def _from_section(cls, sec: dict, what: str, renamed=None, **supplied):
-    """cls built from a config section over the values the CLI supplies.
+def _from_section(build, sec: dict, what: str, keys=None, **fixed):
+    """build called with the values of a config section and those the stage fixes.
 
-    Only the keys the section gives are passed, so every other field keeps
-    the class's own default; numeric fields go through _number.  A key names
-    its field unless renamed maps it to another.  Values the class rejects
-    are reported under their config keys.
+    The section's keys are build's parameters that the stage does not fix,
+    or, given keys, the config keys it maps to parameters.  A key the
+    section leaves out keeps build's own default, and a parameter without
+    one needs its key.  A parameter with a numeric default takes a finite
+    JSON number; one with a float default may also take a list, which build
+    checks (a 3x3 sigma).  A key ending in _path takes a path string, and
+    its parameter gets that volume's data.  Values build rejects are
+    reported with the section.
     """
-    renamed = renamed or {}
-    names = {f.name: f for f in fields(cls)}
-    _known_keys(sec, [*names, *renamed], what)
+    params = inspect.signature(build).parameters
+    keys = keys or {name: name for name in params if name not in fixed}
+    _known_keys(sec, keys, what)
+    missing = [key for key, name in keys.items()
+               if key not in sec and params[name].default is inspect.Parameter.empty]
+    if missing:
+        raise ConfigError(f"{what!r} needs a {missing[0]!r}")
+    args = dict(fixed)
     for key, value in sec.items():
-        default = names[renamed.get(key, key)].default
-        numeric = type(default) in (int, float)
-        supplied[key] = _number(sec, key, None, type(default)) if numeric else value
+        default = params[keys[key]].default
+        if key.endswith("_path"):
+            path = _path(sec, key)
+            value = None if path is None else _volume_data(path)
+        elif type(default) is int or (type(default) is float and not isinstance(value, list)):
+            value = _number(sec, key, None, type(default))
+        args[keys[key]] = value
     try:
-        return cls(**{renamed.get(key, key): value for key, value in supplied.items()})
+        return build(**args)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what!r} {supplied}: {exc}") from exc
+        raise ConfigError(f"bad {what!r} {sec}: {exc}") from exc
 
 
-_ERROR_MODEL_KEYS = ("mu", "sigma", "mu_field_path", "mu_scale", "sigma_scale", "seed")
+def _of_kind(table: dict, sec: dict, what: str):
+    """What table's builder for sec['kind'] makes of the section's other keys."""
+    kind = sec["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    return _from_section(table[kind], {k: v for k, v in sec.items() if k != "kind"}, what)
+
+
+# The keys of an error model and of a lemma check, and the parameters they set.
+_MODEL_KEYS = {"mu": "mu", "sigma": "sigma", "mu_field_path": "mu_field", "mu_scale": "mu_scale",
+               "sigma_scale": "sigma_scale", "seed": "seed"}
+_CHECK_KEYS = {"kind": "family", "strength": "deform_strength", "grid_spacing": "grid_spacing",
+               "node_max": "node_max", "n_mc": "count", "seed": "seed"}
 _LEMMA_KEYS = ("grid", "n_mc", "phi", "checks", "mse")
-_LEMMA_CHECK_KEYS = ("kind", "model", "strength", "grid_spacing", "node_max", "n_mc", "seed")
-# Lemma check keys that set a PerturbSpec field of another name.
-_LEMMA_SPEC_FIELDS = {"kind": "family", "grid": "shape", "n_mc": "count",
-                      "strength": "deform_strength"}
-_LEMMA_MSE_KEYS = ("model", "draws")
+
+_PHIS = {
+    "identity": lambda: TranslationTransform((0.0, 0.0, 0.0)),
+    "translation": lambda offset=(1.5, -0.75, 0.5): TranslationTransform(offset),
+    "affine": lambda matrix, offset=(0.0, 0.0, 0.0): AffineTransform(matrix, offset),
+}
+
+# The smallest shape PerturbSpec takes; estimate gives the spec the source's.
+_ANY_SHAPE = (2, 2, 2)
 
 
-def _build_error_model(sec: dict, seed: int) -> ErrorModel:
-    _known_keys(sec, _ERROR_MODEL_KEYS, "error_model")
-    try:
-        sigma = sec.get("sigma", 0.0)
-        if isinstance(sigma, list):
-            sigma = np.asarray(sigma, dtype=np.float64)
-        kw = {}
-        if "mu_field_path" in sec and sec["mu_field_path"]:
-            fld = read_volume(sec["mu_field_path"])
-            if fld.channels != 3:
-                raise ConfigError("mu_field volume must have 3 channels")
-            kw["mu_field"] = fld.data.astype(np.float64)
-        else:
-            kw["mu"] = tuple(sec.get("mu", (0.0, 0.0, 0.0)))
-        return ErrorModel(
-            sigma=sigma,
-            mu_scale=sec.get("mu_scale"),
-            sigma_scale=sec.get("sigma_scale"),
-            seed=_number(sec, "seed", seed, low=0),
-            **kw,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad error model: {exc}") from exc
+def _error_model(sec, seed: int, what: str) -> ErrorModel:
+    """The ErrorModel of a config section; its seed defaults to the run's."""
+    return _from_section(ErrorModel, {"seed": seed, **_object(sec, what)}, "error_model",
+                         _MODEL_KEYS)
 
 
-_SOLVER_BACKENDS = {"affine_ssd": AffineSsdBackend, "demons": DemonsBackend}
+def _backends(out_dir: Path, seed: int) -> dict:
+    """The backend kinds; a builder's parameters are the keys of its section."""
+
+    def oracle(error_model={}):
+        # The error model is read before the simulated ground truth.
+        model = _error_model(error_model, seed, "config section 'error_model'")
+        return OracleBackend(DenseTransform(_volume_data(out_dir / "gt.rcv", 3)), model)
+
+    return {"affine_ssd": AffineSsdBackend, "demons": DemonsBackend, "oracle": oracle}
 
 
-def _build_backend(cfg: dict, out_dir: Path, seed: int):
-    sec = _section(cfg, "backend")
-    kind = sec.get("kind", "affine_ssd")
-    params = {k: v for k, v in sec.items() if k != "kind"}
-    if kind in _SOLVER_BACKENDS:
-        backend = _from_section(_SOLVER_BACKENDS[kind], params, "backend")
-    elif kind == "oracle":
-        _known_keys(params, ("error_model",), "backend")
-        gt_path = out_dir / "gt.rcv"
-        if not gt_path.exists():
-            raise FileNotFoundError(f"oracle backend needs {gt_path} (run simulate-pair first)")
-        model = _build_error_model(_section(sec, "error_model"), seed)
-        backend = OracleBackend(_dense_from_file(gt_path), model)
-    else:
-        raise ConfigError(f"unknown backend kind {kind!r}")
-    return backend, {**sec, "kind": kind, "seed": seed}
+def _mse_draws(draws: int = 2000) -> int:
+    """The draws of a lemma mse case, checked before any case runs."""
+    if draws < 2:
+        raise ValueError("need at least 2 draws")
+    return draws
 
 
-def _dense_from_file(path) -> DenseTransform:
+def _volume_data(path, channels=None) -> np.ndarray:
+    """The float64 data of the volume at path; given channels, another count is a format error."""
     vol = read_volume(path)
-    if vol.channels != 3:
-        raise VolumeFormatError(f"{path}: expected a 3-channel displacement volume")
-    return DenseTransform(vol.data.astype(np.float64))
+    if channels is not None and vol.channels != channels:
+        raise VolumeFormatError(f"{path}: expected a {channels}-channel volume, got {vol.channels}")
+    return vol.data.astype(np.float64)
 
 
 def _on_grid_of(ref: Volume3, data: np.ndarray) -> Volume3:
@@ -263,17 +285,16 @@ def _truth_from(out_dir: Path) -> Transform:
             return TranslationTransform(info["offset"])
         if info.get("kind") == "affine" and "matrix" in info:
             return AffineTransform(info["matrix"], info["offset"])
-    return _dense_from_file(out_dir / "gt.rcv")
+    return DenseTransform(_volume_data(out_dir / "gt.rcv", 3))
 
 
-def _mask_from(sec: dict, shape) -> RoiMask:
-    path = sec.get("mask_path")
-    if not path:
+def _mask_from(path, shape) -> RoiMask:
+    if path is None:
         return RoiMask.full(shape)
-    vol = read_volume(path)
-    if vol.shape != tuple(shape) or vol.channels != 1:
+    data = _volume_data(path)
+    if data.shape != (*shape, 1):
         raise ConfigError(f"mask volume {path} must be 1-channel with shape {tuple(shape)}")
-    return RoiMask(vol.scalar > 0.5)
+    return RoiMask(data[..., 0] > 0.5)
 
 
 def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> int:
@@ -282,13 +303,10 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
         shape = source.shape
     else:
         shape = _shape(cfg.get("shape"), "shape")
-        sec = _section(cfg, "phantom", ("kind", "seed"))
-        phantom_seed = _number(sec, "seed", seed, low=0)
-        try:
-            source = make_phantom(shape, sec.get("kind", "blobs"), seed=phantom_seed)
-        except ValueError as exc:
-            raise ConfigError(f"bad phantom: {exc}") from exc
-    gt_spec = _from_section(GtSpec, _section(cfg, "gt"), "gt", kind="translation", seed=seed)
+        sec = {"seed": seed, **_section(cfg, "phantom")}
+        source = _from_section(make_phantom, sec, "phantom", shape=shape)
+    gt_sec = {"kind": "translation", "seed": seed, **_section(cfg, "gt")}
+    gt_spec = _from_section(GtSpec, gt_sec, "gt")
     gt, info = simulate_gt_with_info(gt_spec, shape)
     target = warp(source, gt)
     write_volume(out_dir / "source.rcv", source)
@@ -309,17 +327,18 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
 
 
 def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
-    # Sections that do not need the pair are read first, so their mistakes
-    # are config errors even where the pair is missing.
-    backend, backend_echo = _build_backend(cfg, out_dir, seed)
+    # Every section is read before the pair is opened, so its mistakes are
+    # config errors even where the pair is missing.
     unbiased = _section(cfg, "estimate", ("unbiased",)).get("unbiased", False)
     if not isinstance(unbiased, bool):
         raise ConfigError(f"'unbiased' must be true or false, got {unbiased!r}")
+    perturb_sec = {"family": "translation", "seed": seed, **_section(cfg, "perturb")}
+    spec = _from_section(PerturbSpec, perturb_sec, "perturb", shape=_ANY_SHAPE)
+    backend_sec = {"kind": "affine_ssd", **_section(cfg, "backend")}
+    backend = _of_kind(_backends(out_dir, seed), backend_sec, "backend")
     source = read_volume(out_dir / "source.rcv")
     target = read_volume(out_dir / "target.rcv")
-    # The section's own shape, if any, never overrides the volume's.
-    perturb_sec = {**_section(cfg, "perturb"), "shape": source.shape}
-    spec = _from_section(PerturbSpec, perturb_sec, "perturb", family="translation", seed=seed)
+    spec = replace(spec, shape=source.shape)
     result = estimate_uncertainty(
         backend, source, target, spec, unbiased=unbiased, threads=threads
     )
@@ -338,7 +357,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
     _write_json(
         out_dir / "estimate.json",
         {
-            "backend": backend_echo,
+            "backend": {**backend_sec, "seed": seed},
             "perturb_spec": asdict(spec),
             "n_samples": result.n_samples,
             "n_clamped": result.n_clamped,
@@ -358,10 +377,11 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
 def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
     sec = _section(cfg, "evaluate", ("bins", "mask_path"))
     bins = _number(sec, "bins", 20, low=1)
+    mask_path = _path(sec, "mask_path")
     u_vol = read_volume(out_dir / "u.rcv")
-    pred = _dense_from_file(out_dir / "pred.rcv")
+    pred = DenseTransform(_volume_data(out_dir / "pred.rcv", 3))
     truth = _truth_from(out_dir)
-    mask = _mask_from(sec, u_vol.shape)
+    mask = _mask_from(mask_path, u_vol.shape)
     err = error_map(pred, truth, mask)
     curve = risk_coverage(err, u_vol)
     u_masked = u_vol.scalar[mask.mask].astype(np.float64)
@@ -392,7 +412,7 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
     sec = _section(cfg, "lemma", _LEMMA_KEYS)
     grid = _shape(sec.get("grid", [16, 16, 16]), "grid")
     n_mc = _number(sec, "n_mc", 2000)
-    phi = _phi_from(sec, grid)
+    phi = _of_kind(_PHIS, {"kind": "translation", **_section(sec, "phi")}, "phi")
     checks = sec.get("checks")
     if checks is None:
         checks = [{"kind": "translation"}, {"kind": "affine"}]
@@ -400,22 +420,17 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
     # at once instead of after the Monte Carlo ahead of it.
     runs = []
     for chk in _objects(checks, "lemma check"):
-        _known_keys(chk, _LEMMA_CHECK_KEYS, "lemma check")
-        if "kind" not in chk:
-            raise ConfigError("each lemma check needs a 'kind'")
-        model_sec = chk.get("model", {"mu": [0.5, 0.0, 0.0], "sigma": 0.5})
-        model = _build_error_model(_object(model_sec, "lemma check 'model'"), seed)
-        # Perturbation magnitudes not named here keep PerturbSpec's defaults.
-        entry = {key: value for key, value in chk.items() if key != "model"}
-        spec = _from_section(PerturbSpec, entry, "lemma check", _LEMMA_SPEC_FIELDS,
-                             grid=grid, n_mc=n_mc, seed=seed)
-        runs.append((spec, model))
+        # Perturbation magnitudes a check does not name keep PerturbSpec's defaults.
+        entry = {"n_mc": n_mc, "seed": seed, **chk}
+        model = entry.pop("model", {"mu": [0.5, 0.0, 0.0], "sigma": 0.5})
+        spec = _from_section(PerturbSpec, entry, "lemma check", _CHECK_KEYS, shape=grid)
+        runs.append((spec, _error_model(model, seed, "lemma check 'model'")))
     cases = []
     for case in _objects(sec.get("mse", []), "lemma mse case"):
-        _known_keys(case, _LEMMA_MSE_KEYS, "lemma mse case")
-        model = _build_error_model(_object(case.get("model", {}), "mse case 'model'"), seed)
-        draws = _number(case, "draws", 2000, low=2)
-        cases.append((model, draws))
+        entry = dict(case)
+        model = entry.pop("model", {})
+        draws = _from_section(_mse_draws, entry, "lemma mse case")
+        cases.append((_error_model(model, seed, "mse case 'model'"), draws))
     reports = []
     all_ok = True
     for spec, model in runs:
@@ -442,24 +457,6 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
         {"grid": list(grid), "n_mc": n_mc, "seed": seed, "checks": reports, "mse": mse_reports},
     )
     return 0 if all_ok else 2
-
-
-def _phi_from(sec: dict, grid) -> Transform:
-    phi = _object(sec.get("phi", {}), "'phi'")
-    _known_keys(phi, ("kind", "offset", "matrix"), "phi")
-    kind = phi.get("kind", "translation")
-    if kind == "affine" and "matrix" not in phi:
-        raise ConfigError("affine phi needs a 'matrix'")
-    try:
-        if kind == "identity":
-            return TranslationTransform((0.0, 0.0, 0.0))
-        if kind == "translation":
-            return TranslationTransform(phi.get("offset", [1.5, -0.75, 0.5]))
-        if kind == "affine":
-            return AffineTransform(phi["matrix"], phi.get("offset", [0.0, 0.0, 0.0]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'phi': {exc}") from exc
-    raise ConfigError(f"unknown phi kind {kind!r}")
 
 
 def _parser() -> argparse.ArgumentParser:

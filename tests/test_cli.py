@@ -9,6 +9,7 @@ subprocess.
 import dataclasses
 import gzip
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -310,6 +311,25 @@ def test_estimate_with_oracle_backend_writes_no_log(tmp_path):
     assert not (out / "solver_log.csv").exists()
 
 
+def test_estimate_oracle_reads_its_mu_field_volume(tmp_path):
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    field = np.zeros((16, 16, 16, 3), dtype=np.float32)
+    field[..., 0] = np.linspace(0.0, 1.5, 16)[:, None, None]
+    field[..., 2] = -0.25
+    write_volume(tmp_path / "mu.rcv", Volume3(field))
+    model = {"mu_field_path": str(tmp_path / "mu.rcv"), "sigma": 0.0}
+    cfg = oracle_est_cfg(count=4, backend={"kind": "oracle", "error_model": model})
+    assert main(["estimate", "--config", write_cfg(tmp_path, "est.json", cfg),
+                 "--out", str(out)]) == 0
+    for name in ("intrinsic.rcv", "jitter.rcv"):
+        assert read_volume(out / name).shape == (16, 16, 16), name
+    # With sigma 0 the unperturbed oracle is the ground truth plus the field.
+    gap = read_volume(out / "pred.rcv").data - read_volume(out / "gt.rcv").data
+    np.testing.assert_allclose(gap, field, atol=1e-5)
+    echo = json.loads((out / "estimate.json").read_text())["backend"]["error_model"]
+    assert echo["mu_field_path"] == str(tmp_path / "mu.rcv")
+
+
 # ---------------------------------------------------------------------------
 # evaluate and the full pipeline
 
@@ -381,6 +401,18 @@ def test_evaluate_reports_undefined_for_degenerate_correlations(tmp_path, capsys
     assert "undefined" in capsys.readouterr().out
     # text form must survive a JSON round trip (no bare NaN tokens)
     json.loads((out / "metrics.json").read_text(), parse_constant=lambda _: pytest.fail("NaN"))
+
+
+def test_evaluate_scores_the_mask_voxels_only(tmp_path):
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    est = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
+    assert main(["estimate", "--config", est, "--out", str(out)]) == 0
+    mask = np.zeros((16, 16, 16), dtype=np.float32)
+    mask[4:12, 2:10, 5:9] = 1.0
+    write_volume(tmp_path / "mask.rcv", Volume3(mask))
+    ev = write_cfg(tmp_path, "ev.json", {"evaluate": {"mask_path": str(tmp_path / "mask.rcv")}})
+    assert main(["evaluate", "--config", ev, "--out", str(out)]) == 0
+    assert json.loads((out / "metrics.json").read_text())["mask_voxels"] == 8 * 8 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +563,7 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         ("lemma-check", {"lemma": {"grid": [6, 6, 6], "checks": ["kind"]}}, None),
         ("lemma-check", {"lemma": {"checks": [{"kind": "translation", "n_mc": "many"}]}}, None),
         ("simulate-pair", {"shape": [8, 8, 8], "phantom": {"seed": "x"}}, None),
+        ("simulate-pair", {"shape": [16, 16, 16], "phantom": {"seed": [1]}}, "'seed'"),
         ("simulate-pair", {"shape": [8, 8, 8]}, "shape"),
         ("simulate-pair", {"shape": [16, 16, 16], "phantom": {"kind": "noise"}}, "'noise'"),
         ("simulate-pair", {"shape": [16, 16, 16], "gt": {"cout": 3}}, "'cout'"),
@@ -617,6 +650,45 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         ),
         ("lemma-check", lemma_cfg({"kind": "affine", "model": {"sigma": 0.5, "seed": -1}}),
          "'seed'"),
+        # Every estimate section is read before the pair is opened.
+        ("estimate@empty", {"perturb": {"cout": 5}}, "'cout'"),
+        ("estimate@empty", {"backend": {"kind": "oracle", "error_model": {"sigam": 0.5}}},
+         "'sigam'"),
+        # The source sets the perturbation shape.
+        ("estimate", oracle_est_cfg(count=4, perturb={"count": 4, "shape": [16, 16, 16]}),
+         "'shape'"),
+        ("estimate", {"backend": {"kind": ["x"]}}, "unknown backend kind"),
+        ("estimate", {"backend": {"kind": {"oracle": 1}}}, "unknown backend kind"),
+        # Path keys take strings: open() would take an integer for a file descriptor.
+        # No descriptor 10**6 is open; the descriptor test below passes a real one.
+        ("evaluate", {"evaluate": {"mask_path": 10**6}}, "'mask_path'"),
+        ("evaluate", {"evaluate": {"mask_path": ["mask.rcv"]}}, "'mask_path'"),
+        (
+            "estimate",
+            oracle_est_cfg(count=4, backend={"kind": "oracle",
+                                             "error_model": {"mu_field_path": 10**6}}),
+            "'mu_field_path'",
+        ),
+        (
+            "estimate",
+            oracle_est_cfg(count=4, backend={"kind": "oracle",
+                                             "error_model": {"mu_field_path": ["mu.rcv"]}}),
+            "'mu_field_path'",
+        ),
+        # Number keys take JSON numbers only.
+        ("estimate", {"backend": {"kind": "affine_ssd", "step": "0.25"}}, "'step'"),
+        ("estimate", {"backend": {"kind": "affine_ssd", "step": float("nan")}}, "'step'"),
+        ("estimate", {"backend": {"kind": "demons", "smooth_sigma": float("inf")}},
+         "'smooth_sigma'"),
+        ("estimate", oracle_est_cfg(count=4, sigma=True), "'sigma'"),
+        ("estimate", oracle_est_cfg(count=4, sigma="0.5"), "'sigma'"),
+        # Each phi kind takes its own keys only.
+        ("lemma-check", {"lemma": {"phi": {"kind": "identity", "offset": [1, 0, 0]},
+                                   "checks": []}}, "'offset'"),
+        ("lemma-check", {"lemma": {"phi": {"kind": "identity", "matrix": np.eye(3).tolist()},
+                                   "checks": []}}, "'matrix'"),
+        ("lemma-check", {"lemma": {"phi": {"kind": "translation", "matrix": np.eye(3).tolist()},
+                                   "checks": []}}, "'matrix'"),
     ],
     ids=[
         "seed",
@@ -627,6 +699,7 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         "check-entry",
         "n_mc",
         "phantom-seed",
+        "phantom-seed-list",
         "phantom-shape",
         "phantom-kind",
         "gt-key",
@@ -668,6 +741,23 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         "phantom-negative-seed",
         "oracle-model-negative-seed",
         "check-model-negative-seed",
+        "perturb-key-no-pair",
+        "oracle-model-key-no-pair",
+        "perturb-shape",
+        "backend-kind-list",
+        "backend-kind-object",
+        "mask-path-int",
+        "mask-path-list",
+        "mu-field-path-int",
+        "mu-field-path-list",
+        "float-key-string",
+        "float-key-nan",
+        "float-key-infinity",
+        "sigma-bool",
+        "sigma-string",
+        "identity-phi-offset",
+        "identity-phi-matrix",
+        "translation-phi-matrix",
     ],
 )
 def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
@@ -696,6 +786,44 @@ def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
     if command == "simulate-pair":
         unwritten.append("source.rcv")
     assert [name for name in unwritten if (out / name).exists()] == []
+
+
+@pytest.mark.parametrize("key", ["mask_path", "mu_field_path"])
+def test_integer_path_leaves_the_callers_files_open(tmp_path, capsys, key):
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    est = oracle_est_cfg(count=4)
+    assert main(["estimate", "--config", write_cfg(tmp_path, "est.json", est),
+                 "--out", str(out)]) == 0
+    with open(tmp_path / "held.txt", "w", encoding="utf-8") as held:
+        if key == "mask_path":
+            command, cfg = "evaluate", {"evaluate": {"mask_path": held.fileno()}}
+        else:
+            model = {"mu_field_path": held.fileno()}
+            command, cfg = "estimate", {**est, "backend": {"kind": "oracle", "error_model": model}}
+        rc = main([command, "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", str(out)])
+        os.fstat(held.fileno())
+        held.write("still open")
+    assert rc == 1
+    assert f"{key!r}" in capsys.readouterr().err
+    assert (tmp_path / "held.txt").read_text(encoding="utf-8") == "still open"
+
+
+@pytest.mark.parametrize("key, channels", [("mask_path", 3), ("mu_field_path", 1)])
+def test_config_volume_with_wrong_channels_exits_one(tmp_path, capsys, key, channels):
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    est = oracle_est_cfg(count=4)
+    assert main(["estimate", "--config", write_cfg(tmp_path, "est.json", est),
+                 "--out", str(out)]) == 0
+    path = tmp_path / "volume.rcv"
+    write_volume(path, Volume3(np.ones((16, 16, 16, channels), dtype=np.float32)))
+    if key == "mask_path":
+        command, cfg = "evaluate", {"evaluate": {"mask_path": str(path)}}
+    else:
+        model = {"mu_field_path": str(path)}
+        command, cfg = "estimate", {**est, "backend": {"kind": "oracle", "error_model": model}}
+    rc = main([command, "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error")
 
 
 def test_negative_seed_flag_exits_one(tmp_path, capsys):
