@@ -275,16 +275,19 @@ def _on_grid_of(ref: Volume3, data: np.ndarray) -> Volume3:
 
 
 def _truth_from(out_dir: Path) -> Transform:
-    """Reload ground truth, analytic when the metadata allows it."""
+    """Reload ground truth, analytic when gt.json says so; a malformed gt.json is an I/O error."""
     meta_path = out_dir / "gt.json"
     if meta_path.exists():
-        with open(meta_path, "r", encoding="utf-8") as f:
-            meta = json.load(f)
-        info = meta.get("gt", {})
-        if info.get("kind") == "translation" and "offset" in info:
-            return TranslationTransform(info["offset"])
-        if info.get("kind") == "affine" and "matrix" in info:
-            return AffineTransform(info["matrix"], info["offset"])
+        try:
+            with open(meta_path, "r", encoding="utf-8") as f:
+                info = json.load(f)["gt"]
+            if info["kind"] == "translation":
+                return TranslationTransform(info["offset"])
+            if info["kind"] == "affine":
+                return AffineTransform(info["matrix"], info["offset"])
+        except (ValueError, LookupError, TypeError) as exc:
+            what = f"{type(exc).__name__}: {exc}"
+            raise VolumeFormatError(f"{meta_path}: malformed ({what})") from exc
     return DenseTransform(_volume_data(out_dir / "gt.rcv", 3))
 
 
@@ -493,8 +496,8 @@ def _keep_heap_warm() -> None:
     """Fix glibc's mmap and trim thresholds at 16 and 32 MiB; no-op without glibc.
 
     The dynamic defaults start at 128 KiB, so the estimator's per-draw
-    temporaries (from about 100 KB up to a B-spline block's 12.6 MB cell
-    gather) are returned to the system and faulted in again on every draw.
+    temporaries (from about 100 KB to 5 MiB on a 48^3 volume) are returned
+    to the system and faulted in again on every draw.
     Both are set: a trim threshold alone turns the dynamic mmap threshold
     off and maps every such block afresh.
     """

@@ -54,9 +54,10 @@ def grid_points(shape) -> np.ndarray:
     return g
 
 
-# Points per block in the point kernels (trilinear_sample, BSplineTransform):
-# small enough that a block's temporaries stay in a core's L2 cache.
+# Points per block in trilinear_sample: its per-block buffers stay under 1.5 MB.
 _BLOCK = 8192
+# Points per block in BSplineTransform: a block's (n, 4, 48) cell gather is 3 MiB.
+_BSPLINE_BLOCK = 2048
 
 
 def trilinear_sample(field: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -199,7 +200,7 @@ def is_linear(t: Transform) -> bool:
 
 
 def _bspline_weights(t: np.ndarray) -> np.ndarray:
-    """Cubic B-spline basis values for fractional offsets, shape (4, N)."""
+    """Cubic B-spline basis values for fractional offsets t, shape (4, *t.shape)."""
     t2 = t * t
     t3 = t2 * t
     return np.stack(
@@ -213,7 +214,7 @@ def _bspline_weights(t: np.ndarray) -> np.ndarray:
 
 
 def _bspline_dweights(t: np.ndarray) -> np.ndarray:
-    """Derivatives of the basis values with respect to t, shape (4, N)."""
+    """Derivatives of the basis values with respect to t, shape (4, *t.shape)."""
     t2 = t * t
     return np.stack(
         [
@@ -230,15 +231,18 @@ def bspline_control_shape(domain_shape, grid_spacing: int) -> tuple[int, int, in
     return tuple(int(np.floor((s - 1) / grid_spacing)) + 4 for s in domain_shape)
 
 
-def _contract(w, block):
-    """Contract (N, 4, 48) cell rows with per-axis (4, N) weights, x then y then z.
+def _contract_x(wx, block):
+    """Contract (N, 4, 48) cell rows along x with (4, N) weights: the x-stage, (N, 4, 12).
 
     np.einsum's own loops, not BLAS: a stacked matmul calls BLAS once per point.
     """
-    n = block.shape[0]
-    t = np.einsum("an,nak->nk", w[0], block).reshape(n, 4, 12)
-    t = np.einsum("bn,nbk->nk", w[1], t).reshape(n, 4, 3)
-    return np.einsum("cn,nci->ni", w[2], t)
+    return np.einsum("an,nak->nk", wx, block).reshape(len(block), 4, 12)
+
+
+def _contract_yz(wy, wz, t):
+    """Finish a contraction from its x-stage with (4, N) weights, y then z: (N, 3)."""
+    t = np.einsum("bn,nbk->nk", wy, t).reshape(len(t), 4, 3)
+    return np.einsum("cn,nci->ni", wz, t)
 
 
 class BSplineTransform(Transform):
@@ -251,9 +255,9 @@ class BSplineTransform(Transform):
     Points are evaluated from a control table built once here: one contiguous
     (4, 48) row per lattice cell holding its 4x4x4 nodes, components last,
     (na-3)(nb-3)(nc-3)*192 float64 in all.  It cannot go stale: ``control``
-    is frozen.  Points are evaluated in blocks of ``_BLOCK``, which bounds a
-    block's (n, 4, 48) cell gather; a point's value does not depend on the
-    batch it comes in.
+    is frozen.  Points are evaluated in blocks of ``_BSPLINE_BLOCK``, which
+    bounds a block's (n, 4, 48) cell gather; a point's value does not depend
+    on the batch it comes in.
     """
 
     def __init__(self, grid_spacing: int, control_displacements, domain_shape):
@@ -280,43 +284,37 @@ class BSplineTransform(Transform):
         win = np.lib.stride_tricks.sliding_window_view(self.control, (4, 4, 4), axis=(0, 1, 2))
         self._cells = _frozen(np.moveaxis(win, 3, -1).reshape(-1, 4, 48))
 
-    def _base_and_frac(self, pts):
-        h = float(self.grid_spacing)
-        base = []
-        frac = []
-        for ax in range(3):
-            g = pts[:, ax] / h
-            i0 = np.floor(g).astype(np.intp)
-            i0 = np.clip(i0, 0, self.control.shape[ax] - 4)
-            base.append(i0)
-            frac.append(g - i0)
-        return base, frac
-
     def _cells_at(self, pts):
-        """Each point's cell row of the control table, (N, 4, 48), and its fractions."""
-        base, frac = self._base_and_frac(pts)
+        """Each point's cell row of the control table, (N, 4, 48), and its (3, N) fractions."""
+        g = pts / float(self.grid_spacing)
+        i0 = np.clip(np.floor(g).astype(np.intp), 0, np.subtract(self.control.shape[:3], 4))
         nb, nc = self.control.shape[1] - 3, self.control.shape[2] - 3
-        return self._cells.take((base[0] * nb + base[1]) * nc + base[2], axis=0), frac
+        return self._cells.take((i0[:, 0] * nb + i0[:, 1]) * nc + i0[:, 2], axis=0), (g - i0).T
 
     def displacement(self, pts: np.ndarray) -> np.ndarray:
         """u(p) for (N, 3) points, shape (N, 3)."""
         out = np.empty((len(pts), 3), dtype=np.float64)
-        for s in range(0, len(pts), _BLOCK):
-            block, frac = self._cells_at(pts[s : s + _BLOCK])
-            out[s : s + _BLOCK] = _contract([_bspline_weights(f) for f in frac], block)
+        for s in range(0, len(pts), _BSPLINE_BLOCK):
+            block, frac = self._cells_at(pts[s : s + _BSPLINE_BLOCK])
+            wx, wy, wz = _bspline_weights(frac).swapaxes(0, 1)
+            out[s : s + _BSPLINE_BLOCK] = _contract_yz(wy, wz, _contract_x(wx, block))
         return out
 
     def displacement_jacobian(self, pts: np.ndarray) -> np.ndarray:
         """Du at each point (analytic), shape (N, 3, 3)."""
         h = float(self.grid_spacing)
         out = np.empty((len(pts), 3, 3), dtype=np.float64)
-        for s in range(0, len(pts), _BLOCK):
-            block, frac = self._cells_at(pts[s : s + _BLOCK])
-            w = [_bspline_weights(f) for f in frac]
-            dw = [_bspline_dweights(f) / h for f in frac]
-            combos = ((dw[0], w[1], w[2]), (w[0], dw[1], w[2]), (w[0], w[1], dw[2]))
-            for ax, wt in enumerate(combos):
-                out[s : s + _BLOCK, :, ax] = _contract(wt, block)
+        for s in range(0, len(pts), _BSPLINE_BLOCK):
+            block, frac = self._cells_at(pts[s : s + _BSPLINE_BLOCK])
+            wx, wy, wz = _bspline_weights(frac).swapaxes(0, 1)
+            dx, dy, dz = (_bspline_dweights(frac) / h).swapaxes(0, 1)
+            o = out[s : s + _BSPLINE_BLOCK]
+            # Column x is finished before y and z's shared x-stage is built,
+            # so one (n, 4, 12) x-stage is alive at a time.
+            o[:, :, 0] = _contract_yz(wy, wz, _contract_x(dx, block))
+            t = _contract_x(wx, block)
+            o[:, :, 1] = _contract_yz(dy, wz, t)
+            o[:, :, 2] = _contract_yz(wy, dz, t)
         return out
 
     def apply(self, pts):

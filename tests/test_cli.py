@@ -901,6 +901,29 @@ def test_corrupt_volume_spacing_exits_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        '{"gt": ',
+        '{"gt": {"kind": "affine", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}',
+        '[{"gt": {"kind": "translation", "offset": [1.0, 0.0, 0.0]}}]',
+    ],
+    ids=["truncated", "affine-without-offset", "top-level-list"],
+)
+def test_malformed_gt_json_exits_three(tmp_path, capsys, text):
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    est = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
+    assert main(["estimate", "--config", est, "--out", str(out)]) == 0
+    (out / "gt.json").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", write_cfg(tmp_path, "ev.json", {}), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("i/o error:") and "gt.json" in err
+    assert "Traceback" not in err
+    assert [name for name in ("metrics.json", "error.rcv") if (out / name).exists()] == []
+
+
+@pytest.mark.parametrize(
     "write",
     [
         lambda p, k: write_volume(p, Volume3(np.full((2, 2, 2), float(k)))),

@@ -5,6 +5,8 @@ explicit matrix arithmetic for affine composition, and central differences
 for Jacobians.  The library must agree with them, not the other way around.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,6 @@ from regcert.geometry import (
     trilinear_sample,
 )
 from regcert import geometry
-from regcert.geometry import _bspline_dweights, _bspline_weights
 
 
 def lerp_sample_oracle(field, p):
@@ -314,12 +315,25 @@ def test_bspline_jacobian_matches_finite_differences():
         assert np.max(np.abs(j - fd_jacobian_oracle(t, p))) < 1e-4
 
 
+def _reference_basis(t, deriv=False):
+    """Cubic B-spline basis at offsets t, (4, N), through the symmetry B_(3-k)(t) = B_k(1 - t)."""
+    s = 1.0 - t
+    if deriv:
+        return np.stack([-s**2 / 2.0, 1.5 * t**2 - 2.0 * t, 2.0 * s - 1.5 * s**2, t**2 / 2.0])
+    return np.stack([s**3 / 6.0, 2.0 / 3.0 - t**2 + t**3 / 2.0, 2.0 / 3.0 - s**2 + s**3 / 2.0,
+                     t**3 / 6.0])
+
+
 def bspline_reference(t, pts, deriv_axis=None):
     """The earlier B-spline evaluation: a 64-node gather per point and two full einsums.
 
-    Returns u at the points, or the column of Du for ``deriv_axis``.
+    Returns u at the points, or the column of Du for ``deriv_axis``.  It
+    shares no code with BSplineTransform: its own cell lookup (off-domain
+    points take the nearest cell) and its own basis.
     """
-    base, frac = t._base_and_frac(pts)
+    g = pts / t.grid_spacing
+    cell = np.clip(np.floor(g), 0.0, np.array(t.control.shape[:3]) - 4.0)
+    base, frac = cell.astype(int).T, (g - cell).T
     nb, nc = t.control.shape[1], t.control.shape[2]
     off = np.arange(4)
     flat = (
@@ -328,9 +342,9 @@ def bspline_reference(t, pts, deriv_axis=None):
         + (base[2][:, None] + off)[:, None, None, :]
     )
     block = t.control.reshape(-1, 3)[flat.reshape(len(pts), 64)].reshape(len(pts), 4, 4, 4, 3)
-    w = [_bspline_weights(f) for f in frac]
+    w = [_reference_basis(f) for f in frac]
     if deriv_axis is not None:
-        w[deriv_axis] = _bspline_dweights(frac[deriv_axis]) / t.grid_spacing
+        w[deriv_axis] = _reference_basis(frac[deriv_axis], deriv=True) / t.grid_spacing
     wt = np.einsum("an,bn,cn->nabc", *w)
     return np.einsum("nabc,nabci->ni", wt, block)
 
@@ -383,7 +397,7 @@ def test_bspline_matches_64_node_reference(lattice):
 def test_bspline_chunking_is_bitwise_invisible(lattice, monkeypatch):
     t, pts = _bspline_case(lattice, 15)
     whole = (t.displacement(pts), t.displacement_jacobian(pts))
-    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    monkeypatch.setattr(geometry, "_BSPLINE_BLOCK", 7)
     chunked = (t.displacement(pts), t.displacement_jacobian(pts))
     for a, b in zip(whole, chunked):
         assert a.tobytes() == b.tobytes()
@@ -394,7 +408,7 @@ def test_bspline_point_value_does_not_depend_on_its_batch(lattice):
     t, probes = _bspline_case(lattice, 16)
     rng = np.random.default_rng(17)
     # More than two blocks: the probes, then points in and around the domain.
-    n = 2 * geometry._BLOCK + 1000
+    n = 2 * geometry._BSPLINE_BLOCK + 1000
     hi = np.array(t.domain_shape, dtype=np.float64) - 1.0
     pts = np.concatenate([probes, rng.uniform(-3.0, hi + 3.0, size=(n - len(probes), 3))])
     # The subset fits in one block, so its points come back in another block
@@ -402,6 +416,24 @@ def test_bspline_point_value_does_not_depend_on_its_batch(lattice):
     sel = rng.permutation(n)[: n // 3]
     for f in (t.displacement, t.displacement_jacobian):
         assert f(pts)[sel].tobytes() == f(pts[sel]).tobytes()
+
+
+@pytest.mark.parametrize("method", ["displacement", "displacement_jacobian"])
+def test_bspline_full_grid_peak_memory_stays_block_sized(method):
+    # A 32^3 grid: the output, one block's 3 MiB cell gather and its stages.
+    # An 8192-point block's 12 MiB cell gather alone would reach the bound.
+    shape = (32, 32, 32)
+    rng = np.random.default_rng(18)
+    t = BSplineTransform(4, rng.uniform(-2.0, 2.0, size=bspline_control_shape(shape, 4) + (3,)),
+                         shape)
+    pts = grid_points(shape).reshape(-1, 3)
+    tracemalloc.start()
+    try:
+        getattr(t, method)(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20, f"{method} peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_bspline_spacing_validation():
