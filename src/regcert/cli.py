@@ -208,7 +208,7 @@ def _from_section(build, sec: dict, what: str, keys=None, **fixed):
         return build(**args)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {what!r} {sec}: {exc}") from exc
 
 

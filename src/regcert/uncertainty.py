@@ -98,12 +98,8 @@ class UncertaintyResult:
     max_inversion_residual: float
 
 
-def _one_sample(backend, source, target, spec, n, observe):
-    """(back-mapped positions, inversion residual, observe's value or None).
-
-    Neither tau nor the Registration leaves this call: whatever of them the
-    caller needs, observe extracts here, in the worker.
-    """
+def _one_sample(backend, source, target, spec, n, observers):
+    """observe(n, tau, reg, x) for each observer; only these values leave the worker."""
     tau = sample_perturbation(spec, n)
     # A backend that never reads voxel values gets the source as it is.
     perturbed = warp(source, tau) if backend.reads_images else source
@@ -121,7 +117,22 @@ def _one_sample(backend, source, target, spec, n, observe):
     grid = grid_points(fitted.shape).reshape(-1, 3)
     # Compose tau o fitted with tau evaluated analytically at fitted(y).
     x = tau.apply(grid + fitted.displacement.reshape(-1, 3))
-    return x, reg.inversion_residual, None if observe is None else observe(n, tau, reg)
+    return [observe(n, tau, reg, x) for observe in observers]
+
+
+def _in_sample_order(run, count: int, threads: int):
+    """run(n) for n = 0 .. count-1, in order.
+
+    One thread maps on the caller with no run-ahead; more map a pool chunk at
+    a time.  Closing it cancels the samples not started and waits for the rest.
+    """
+    if threads == 1:
+        yield from map(run, range(count))
+        return
+    chunk = max(4 * threads, 8)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for start in range(0, count, chunk):
+            yield from pool.map(run, range(start, min(start + chunk, count)))
 
 
 def estimate_uncertainty(
@@ -131,8 +142,7 @@ def estimate_uncertainty(
     spec: PerturbSpec,
     unbiased: bool = False,
     threads: int = 1,
-    observe=None,
-    reduce=None,
+    reducers=(),
 ) -> UncertaintyResult:
     """Perturb, re-register, back-map, and reduce to per-voxel statistics.
 
@@ -141,41 +151,28 @@ def estimate_uncertainty(
     The covariance divisor is N (the estimator's own convention); pass
     unbiased=True for N-1.
 
-    observe(n, tau, reg) runs in the worker next to sample n's back-map and
-    sees its perturbation and Registration; reduce(value) receives its
-    results on the calling thread in sample order.  Give both or neither.
+    Each reducer is an (observe, add) pair: observe(n, tau, reg, x) runs in
+    the worker next to sample n's back-map x, and add(value) receives its
+    results on the calling thread in sample order.  The moments and the
+    largest inversion residual are reduced the same way, ahead of these.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if (observe is None) != (reduce is None):
-        raise ValueError("observe and reduce go together")
     t0 = time.perf_counter()
     n_total = spec.count
-    moments = _Moments()
-    max_residual = 0.0
-
-    def add(sample):
-        nonlocal max_residual
-        x, residual, observed = sample
-        moments.add(x)
-        max_residual = max(max_residual, residual)
-        if reduce is not None:
-            reduce(observed)
-
-    if threads == 1:
-        for n in range(n_total):
-            add(_one_sample(backend, source, target, spec, n, observe))
-    else:
-        chunk = max(4 * threads, 8)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, n_total, chunk):
-                idx = range(start, min(start + chunk, n_total))
-                futures = [
-                    pool.submit(_one_sample, backend, source, target, spec, n, observe)
-                    for n in idx
-                ]
-                for f in futures:
-                    add(f.result())
+    moments, residuals = _Moments(), [0.0]
+    reducers = [(lambda n, tau, reg, x: x, moments.add),
+                (lambda n, tau, reg, x: reg.inversion_residual, residuals.append), *reducers]
+    observers = [observe for observe, _ in reducers]
+    samples = _in_sample_order(lambda n: _one_sample(backend, source, target, spec, n, observers),
+                               n_total, threads)
+    try:
+        for values in samples:
+            # Popping leaves nothing of this sample alive while the next is drawn.
+            for _, add in reducers:
+                add(values.pop(0))
+    finally:
+        samples.close()
 
     shape = target.shape
     denom = n_total - 1 if unbiased else n_total
@@ -192,7 +189,7 @@ def estimate_uncertainty(
         divisor="n-1" if unbiased else "n",
         wall_time_s=time.perf_counter() - t0,
         n_clamped=int(np.count_nonzero(trace < 0.0)),
-        max_inversion_residual=max_residual,
+        max_inversion_residual=max(residuals),
     )
 
 
@@ -317,11 +314,11 @@ def _estimate_and_linearize(
     grid = grid_points(target.shape).reshape(-1, 3)
     lin = _Moments()
 
-    def linearize(n, tau, reg):
+    def linearize(n, tau, reg, x):
         eps = backend.error_model.sample(tau, grid, n)
         return np.einsum("nij,nj->ni", tau.jacobian(reg.inverted_positions), eps)
 
-    est = estimate_uncertainty(backend, source, target, spec, observe=linearize, reduce=lin.add)
+    est = estimate_uncertainty(backend, source, target, spec, reducers=[(linearize, lin.add)])
     return est, lin.finalize(spec.count)[1].reshape(target.shape + (6,))
 
 

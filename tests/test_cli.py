@@ -682,6 +682,12 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
          "'smooth_sigma'"),
         ("estimate", oracle_est_cfg(count=4, sigma=True), "'sigma'"),
         ("estimate", oracle_est_cfg(count=4, sigma="0.5"), "'sigma'"),
+        # A sigma whose square overflows is a config value, not a numeric failure.
+        ("lemma-check", {"lemma": {"grid": [8, 8, 8], "n_mc": 4, "checks": [
+            {"kind": "translation", "model": {"sigma": 1e200}}
+        ]}}, "'sigma'"),
+        ("estimate@empty", {"backend": {"kind": "oracle", "error_model": {"sigma": 1e200}}},
+         "'sigma'"),
         # Each phi kind takes its own keys only.
         ("lemma-check", {"lemma": {"phi": {"kind": "identity", "offset": [1, 0, 0]},
                                    "checks": []}}, "'offset'"),
@@ -755,6 +761,8 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         "float-key-infinity",
         "sigma-bool",
         "sigma-string",
+        "sigma-overflow",
+        "sigma-overflow-no-pair",
         "identity-phi-offset",
         "identity-phi-matrix",
         "translation-phi-matrix",

@@ -6,6 +6,7 @@ stream is genuinely involved.
 """
 
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -535,34 +536,55 @@ def test_max_inversion_residual_is_the_largest_sample_residual():
 
 def test_observer_results_reduce_in_sample_order_at_any_thread_count():
     shape = (8, 8, 8)
-    spec = spec_for("deform", shape, count=11)
     backend = OracleBackend(PHI, ErrorModel(sigma=0.2, seed=4), lenient_inversion=True)
 
-    def observe(n, tau, reg):
+    def observe(n, tau, reg, x):
         return n, reg.inverted_positions.sum()
 
-    runs, seen = {}, {}
-    for threads in (1, 3):
-        seen[threads] = []
-        runs[threads] = estimate_uncertainty(backend, blank(shape), blank(shape), spec,
-                                             threads=threads, observe=observe,
-                                             reduce=seen[threads].append)
-        assert [n for n, _ in seen[threads]] == list(range(spec.count))
-    assert seen[1] == seen[3]
-    plain = estimate_uncertainty(backend, blank(shape), blank(shape), spec, threads=3)
-    for other in (runs[3], plain):
-        assert other.cov.tobytes() == runs[1].cov.tobytes()
-        assert other.mean.displacement.tobytes() == runs[1].mean.displacement.tobytes()
-        assert other.max_inversion_residual == runs[1].max_inversion_residual
+    # 29 draws at 3 threads span three pool chunks of 12.
+    for count in (11, 29):
+        spec = spec_for("deform", shape, count=count)
+        runs, seen = {}, {}
+        for threads in (1, 3):
+            seen[threads], moments = [], _Moments()
+            reducers = [(observe, seen[threads].append), (lambda n, tau, reg, x: x, moments.add)]
+            runs[threads] = estimate_uncertainty(backend, blank(shape), blank(shape), spec,
+                                                 threads=threads, reducers=reducers)
+            assert [n for n, _ in seen[threads]] == list(range(count))
+            # The estimator's own moments are a reducer like any caller's.
+            cov = moments.finalize(count)[1].reshape(shape + (6,))
+            assert cov.tobytes() == runs[threads].cov.tobytes()
+        assert seen[1] == seen[3]
+        plain = estimate_uncertainty(backend, blank(shape), blank(shape), spec, threads=3)
+        for other in (runs[3], plain):
+            assert other.cov.tobytes() == runs[1].cov.tobytes()
+            assert other.mean.displacement.tobytes() == runs[1].mean.displacement.tobytes()
+            assert other.max_inversion_residual == runs[1].max_inversion_residual
 
 
-def test_observe_and_reduce_go_together():
-    shape = (4, 4, 4)
-    backend = OracleBackend(PHI, ErrorModel())
-    for kw in ({"observe": lambda n, tau, reg: n}, {"reduce": print}):
-        with pytest.raises(ValueError, match="go together"):
-            estimate_uncertainty(backend, blank(shape), blank(shape),
-                                 spec_for("translation", shape, count=2), **kw)
+@pytest.mark.parametrize("where", ["backend", "reducer"])
+def test_threaded_failure_leaves_no_worker_running(where):
+    class Failing(OracleBackend):
+        def register(self, source, target, perturbation=None, nonce=0):
+            if where == "backend" and nonce == 13:
+                raise ValueError("synthetic failure")
+            return super().register(source, target, perturbation, nonce)
+
+    def refuse(n):
+        if n == 13:
+            raise ValueError(f"reducer refused sample {n}")
+
+    shape = (6, 6, 6)
+    reducers = [(lambda n, tau, reg, x: n, refuse)] if where == "reducer" else []
+    before = threading.active_count()
+    # Sample 13 falls in the second pool chunk of 12.  The held traceback keeps
+    # the call's frame alive, so garbage collection cannot be what ends the pool.
+    with pytest.raises(ValueError, match="sample 13") as info:
+        estimate_uncertainty(Failing(PHI, ErrorModel()), blank(shape), blank(shape),
+                             spec_for("translation", shape, count=30), threads=3,
+                             reducers=reducers)
+    assert info.tb is not None
+    assert threading.active_count() == before
 
 
 def test_deform_lemma_draws_and_inverts_each_perturbation_once(monkeypatch):
