@@ -10,8 +10,9 @@ gt.json; estimate writes u.rcv, cov.rcv, mean.rcv, pred.rcv,
 estimate.json, solver_log.csv (affine_ssd, demons), intrinsic.rcv and
 jitter.rcv (oracle); evaluate writes error.rcv, metrics.json,
 risk_coverage.csv, risk_coverage_binned.csv; lemma-check writes
-lemma_report.json.  Exit codes: 0 success, 1 config error, 2 numeric
-failure, 3 I/O error.
+lemma_report.json.  simulate-pair and lemma-check create the directory
+once their config has been read, so a config error leaves none behind.
+Exit codes: 0 success, 1 config error, 2 numeric failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import ctypes
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -41,7 +43,7 @@ from .geometry import (
 from .metrics import bin_curve, error_map, mse_decomposition_check, pearson, risk_coverage, spearman
 from .perturb import GtSpec, PerturbSpec, simulate_gt_with_info
 from .register import AffineSsdBackend, DemonsBackend, ErrorModel, OracleBackend
-from .uncertainty import decompose_cov, estimate_uncertainty, verify_lemma
+from .uncertainty import MAX_THREADS, decompose_cov, estimate_uncertainty, verify_lemma
 from .volume import (
     RoiMask,
     Volume3,
@@ -106,8 +108,8 @@ def _convert(value, kind):
     return kind(value)
 
 
-def _number(sec: dict, key: str, default, kind=int, low=None):
-    """sec[key] (or the default) converted by kind, and >= low if given; else a config error."""
+def _number(sec: dict, key: str, default, kind=int, low=None, high=None):
+    """sec[key] (or the default) as kind, in [low, high] where given; else a config error."""
     value = sec.get(key, default)
     try:
         number = _convert(value, kind)
@@ -115,6 +117,8 @@ def _number(sec: dict, key: str, default, kind=int, low=None):
         raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from exc
     if low is not None and number < low:
         raise ConfigError(f"{key!r} must be >= {low}, got {number!r}")
+    if high is not None and number > high:
+        raise ConfigError(f"{key!r} must be <= {high}, got {number!r}")
     return number
 
 
@@ -150,12 +154,26 @@ def _write_json(path, obj) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
+# Rows per encoded CSV chunk, and per tolist() slice of a risk-coverage column.
+_CSV_ROWS = 4096
+
+
 def _write_csv(path, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_atomic(path, buf.getvalue().encode("utf-8"))
+    """header and rows as CSV, encoded and written _CSV_ROWS rows at a time."""
+
+    def chunks():
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        rows_left = iter(rows)
+        block = [header]
+        while block:
+            writer.writerows(block)
+            yield buf.getvalue().encode("utf-8")
+            buf.seek(0)
+            buf.truncate()
+            block = list(itertools.islice(rows_left, _CSV_ROWS))
+
+    write_atomic(path, chunks())
 
 
 def _shape(shape, key: str) -> tuple[int, int, int]:
@@ -310,6 +328,7 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
         source = _from_section(make_phantom, sec, "phantom", shape=shape)
     gt_sec = {"kind": "translation", "seed": seed, **_section(cfg, "gt")}
     gt_spec = _from_section(GtSpec, gt_sec, "gt")
+    out_dir.mkdir(parents=True, exist_ok=True)
     gt, info = simulate_gt_with_info(gt_spec, shape)
     target = warp(source, gt)
     write_volume(out_dir / "source.rcv", source)
@@ -402,7 +421,9 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
     _write_json(out_dir / "metrics.json", metrics)
     header = ("coverage", "risk", "bin_mean_uncertainty")
     columns = (curve.coverage, curve.risk, curve.bin_mean_uncertainty)
-    _write_csv(out_dir / "risk_coverage.csv", header, zip(*(c.tolist() for c in columns)))
+    rows = (row for s in range(0, len(curve.coverage), _CSV_ROWS)
+            for row in zip(*(c[s : s + _CSV_ROWS].tolist() for c in columns)))
+    _write_csv(out_dir / "risk_coverage.csv", header, rows)
     binned = bin_curve(curve, bins)
     _write_csv(out_dir / "risk_coverage_binned.csv", header,
                ([r[k] for k in header] for r in binned))
@@ -434,6 +455,7 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
         model = entry.pop("model", {})
         draws = _from_section(_mse_draws, entry, "lemma mse case")
         cases.append((_error_model(model, seed, "mse case 'model'"), draws))
+    out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     all_ok = True
     for spec, model in runs:
@@ -480,7 +502,8 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--out", required=True, help="output directory")
         q.add_argument("--seed", type=int, default=None, help="override config seed")
         if name == "estimate":
-            q.add_argument("--threads", type=int, default=None, help="worker cap for sampling")
+            q.add_argument("--threads", type=int, default=None,
+                           help=f"worker cap for sampling, at most {MAX_THREADS}")
         if name == "simulate-pair":
             q.add_argument("--import-nifti", dest="import_nifti", default=None,
                            help="use this NIfTI-1 float32 image as the source")
@@ -490,16 +513,20 @@ def _parser() -> argparse.ArgumentParser:
 # glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_heap_warm() -> None:
-    """Fix glibc's mmap and trim thresholds at 16 and 32 MiB; no-op without glibc.
+    """Fix glibc's mmap and trim thresholds at 16 and 32 MiB, in one arena; no-op without glibc.
 
     The dynamic defaults start at 128 KiB, so the estimator's per-draw
     temporaries (from about 100 KB to 5 MiB on a 48^3 volume) are returned
     to the system and faulted in again on every draw.
     Both are set: a trim threshold alone turns the dynamic mmap threshold
     off and maps every such block afresh.
+    One arena: glibc gives each sample thread a heap of its own, each with
+    its own high-water mark, which the next stage on the main thread cannot
+    reuse.  With one, every thread reuses what the others freed.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -511,6 +538,7 @@ def _keep_heap_warm() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 16 << 20)
     mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:
@@ -523,11 +551,11 @@ def main(argv=None) -> int:
                            if k in ("seed", "threads") and v is not None}}
         seed = _number(given, "seed", 0, low=0)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate-pair":
             return cmd_simulate_pair(cfg, out_dir, seed, nifti_path=args.import_nifti)
         if args.command == "estimate":
-            return cmd_estimate(cfg, out_dir, seed, _number(given, "threads", 1, low=1))
+            threads = _number(given, "threads", 1, low=1, high=MAX_THREADS)
+            return cmd_estimate(cfg, out_dir, seed, threads)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, out_dir, seed)
         return cmd_lemma_check(cfg, out_dir, seed)

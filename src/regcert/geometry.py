@@ -137,6 +137,10 @@ class Transform:
         """Spatial derivative Dt at each point, shape (N, 3, 3)."""
         raise NotImplementedError
 
+    def apply_grid(self, shape) -> np.ndarray:
+        """apply at the voxel centers of shape, (V, 3) in grid_points order."""
+        return self.apply(grid_points(shape).reshape(-1, 3))
+
 
 class TranslationTransform(Transform):
     """y -> y + offset."""
@@ -245,6 +249,25 @@ def _contract_yz(wy, wz, t):
     return np.einsum("cn,nci->ni", wz, t)
 
 
+def _contract_axis(t, ax, i0, w):
+    """Sum of w[a] * t[i0 + a] along axis ax, a = 0..3 added in order to zeros.
+
+    The einsum contractions above add the same products in the same order,
+    so a grid contracted axis by axis equals the point kernel bit for bit.
+    """
+    shape = list(t.shape)
+    shape[ax] = len(i0)
+    out = np.zeros(shape)
+    term = np.empty(shape)
+    bcast = [1] * t.ndim
+    bcast[ax] = len(i0)
+    for a in range(4):
+        np.take(t, i0 + a, axis=ax, out=term)
+        term *= w[a].reshape(bcast)
+        out += term
+    return out
+
+
 class BSplineTransform(Transform):
     """Free-form deformation y -> y + u(y) on a cubic B-spline lattice.
 
@@ -284,12 +307,17 @@ class BSplineTransform(Transform):
         win = np.lib.stride_tricks.sliding_window_view(self.control, (4, 4, 4), axis=(0, 1, 2))
         self._cells = _frozen(np.moveaxis(win, 3, -1).reshape(-1, 4, 48))
 
+    def _cell(self, x, last):
+        """Lattice cell index of coordinates x, clipped to [0, last], and x's fraction in it."""
+        g = x / float(self.grid_spacing)
+        i0 = np.clip(np.floor(g).astype(np.intp), 0, last)
+        return i0, g - i0
+
     def _cells_at(self, pts):
         """Each point's cell row of the control table, (N, 4, 48), and its (3, N) fractions."""
-        g = pts / float(self.grid_spacing)
-        i0 = np.clip(np.floor(g).astype(np.intp), 0, np.subtract(self.control.shape[:3], 4))
+        i0, frac = self._cell(pts, np.subtract(self.control.shape[:3], 4))
         nb, nc = self.control.shape[1] - 3, self.control.shape[2] - 3
-        return self._cells.take((i0[:, 0] * nb + i0[:, 1]) * nc + i0[:, 2], axis=0), (g - i0).T
+        return self._cells.take((i0[:, 0] * nb + i0[:, 1]) * nc + i0[:, 2], axis=0), frac.T
 
     def displacement(self, pts: np.ndarray) -> np.ndarray:
         """u(p) for (N, 3) points, shape (N, 3)."""
@@ -319,6 +347,21 @@ class BSplineTransform(Transform):
 
     def apply(self, pts):
         return pts + self.displacement(pts)
+
+    def apply_grid(self, shape):
+        """apply on a voxel grid as a tensor product: x, then y, then z contracted.
+
+        Each axis's cells and weights come from the point kernel's own
+        arithmetic, so the result equals apply(grid_points(shape)) bit for
+        bit without the per-point cell gather.
+        """
+        t = self.control
+        for ax, n in enumerate(shape):
+            i0, frac = self._cell(np.arange(n, dtype=np.float64), self.control.shape[ax] - 4)
+            t = _contract_axis(t, ax, i0, _bspline_weights(frac))
+        grid = grid_points(shape).reshape(-1, 3)
+        grid += t.reshape(-1, 3)
+        return grid
 
     def jacobian(self, pts):
         j = self.displacement_jacobian(pts)
@@ -363,8 +406,9 @@ def dense(t: Transform, shape) -> DenseTransform:
     """t sampled at the voxel centers of shape; a DenseTransform comes back as it is."""
     if isinstance(t, DenseTransform):
         return t
-    grid = grid_points(shape).reshape(-1, 3)
-    return DenseTransform((t.apply(grid) - grid).reshape(tuple(shape) + (3,)))
+    mapped = t.apply_grid(shape)
+    mapped -= grid_points(shape).reshape(-1, 3)
+    return DenseTransform(mapped.reshape(tuple(shape) + (3,)))
 
 
 def compose(outer: Transform, inner: Transform, shape) -> DenseTransform:
@@ -378,9 +422,9 @@ def compose(outer: Transform, inner: Transform, shape) -> DenseTransform:
         raise ValueError(f"shape mismatch: inner grid {inner.shape} vs requested {shape}")
     if isinstance(outer, DenseTransform) and isinstance(inner, DenseTransform) and outer.shape != inner.shape:
         raise ValueError(f"shape mismatch: outer grid {outer.shape} vs inner grid {inner.shape}")
-    grid = grid_points(shape).reshape(-1, 3)
-    mapped = outer.apply(inner.apply(grid))
-    return DenseTransform((mapped - grid).reshape(shape + (3,)))
+    mapped = outer.apply(inner.apply_grid(shape))
+    mapped -= grid_points(shape).reshape(-1, 3)
+    return DenseTransform(mapped.reshape(shape + (3,)))
 
 
 def invert_at(

@@ -31,6 +31,7 @@ __all__ = [
     "LemmaCheckReport",
     "verify_lemma",
     "REGIME_STRENGTH_MAX",
+    "MAX_THREADS",
 ]
 
 # Upper-triangle component order for symmetric 3x3 matrices stored per voxel.
@@ -41,6 +42,10 @@ _TRACE_IDX = (0, 3, 5)
 # its regime; verify_lemma reports a violation instead of failing.  Frozen
 # from the strength sweep: 0.08 stays within tolerance, 0.3 does not.
 REGIME_STRENGTH_MAX = 0.15
+
+# The most sample threads estimate_uncertainty starts.  It is not capped at
+# the core count: more threads than cores is legal and thread-invariant.
+MAX_THREADS = 256
 
 
 def _outer_tri(vecs: np.ndarray) -> np.ndarray:
@@ -156,8 +161,8 @@ def estimate_uncertainty(
     results on the calling thread in sample order.  The moments and the
     largest inversion residual are reduced the same way, ahead of these.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be in 1..{MAX_THREADS}, got {threads}")
     t0 = time.perf_counter()
     n_total = spec.count
     moments, residuals = _Moments(), [0.0]

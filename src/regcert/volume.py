@@ -122,9 +122,7 @@ class RoiMask:
 
 def warp(volume: Volume3, t: Transform) -> Volume3:
     """Pull-back warp: out(y) = volume(t(y)) on the volume's own grid."""
-    grid = grid_points(volume.shape).reshape(-1, 3)
-    mapped = t.apply(grid)
-    vals = trilinear_sample(volume.data, mapped)
+    vals = trilinear_sample(volume.data, t.apply_grid(volume.shape))
     out = vals.reshape(volume.shape + (volume.channels,)).astype(np.float32)
     return Volume3(out, spacing=volume.spacing, origin=volume.origin)
 
@@ -188,22 +186,27 @@ def write_volume(path, volume: Volume3) -> None:
         *volume.spacing.tolist(),
         *volume.origin.tolist(),
     )
-    payload = _interleave(volume.data).astype("<f4").tobytes()
-    write_atomic(path, header + meta + payload)
+    # The payload is written from the interleaved array itself, not a bytes copy of it.
+    payload = _interleave(volume.data).astype("<f4", copy=False)
+    write_atomic(path, (header + meta, payload))
 
 
-def write_atomic(path, data: bytes) -> None:
+def write_atomic(path, data) -> None:
     """Replace ``path`` with ``data`` all at once: readers see the old or the new file.
 
-    The bytes go to a hidden temp file in the target's directory, which is
-    then renamed onto the target; on any error the temp file is removed and
-    the target is left as it was.
+    ``data`` is one bytes-like object or an iterable of them, written in
+    turn, so a caller can stream a file it never holds whole.  The bytes go
+    to a hidden temp file in the target's directory, which is then renamed
+    onto the target; on any error, one raised by the iterable included, the
+    temp file is removed and the target is left as it was.
     """
+    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
         with open(tmp, "xb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -6,8 +6,10 @@ returns.  One smoke test runs the installed module through a real
 subprocess.
 """
 
+import csv
 import dataclasses
 import gzip
+import io
 import json
 import os
 import struct
@@ -20,8 +22,11 @@ import pytest
 
 import regcert.cli as cli
 from regcert.cli import main
+from regcert.geometry import DenseTransform
+from regcert.metrics import error_map, risk_coverage
 from regcert.perturb import PerturbSpec
-from regcert.volume import Volume3, read_volume, write_volume
+from regcert.uncertainty import MAX_THREADS
+from regcert.volume import RoiMask, Volume3, read_volume, write_volume
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +391,62 @@ def test_pipeline_reruns_are_byte_identical_across_threads(tmp_path):
     assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
 
 
+def test_deform_demons_estimate_is_byte_identical_across_threads(tmp_path):
+    # Deform perturbations through the tensor-product warp and the demons
+    # solver, in 5 draws: one pool chunk at 3 threads, two workers busy at the end.
+    cfg = base_sim_cfg(shape=[16, 16, 16], perturb={"family": "deform", "count": 5},
+                       backend={"kind": "demons", "iters": 2})
+    outs = []
+    for threads in ("1", "3"):
+        out = simulate(tmp_path, tmp_path / f"run{threads}", cfg)
+        est = write_cfg(tmp_path, "est.json", cfg)
+        assert main(["estimate", "--config", est, "--out", str(out), "--threads", threads]) == 0
+        outs.append(out)
+    a, b = outs
+    for name in ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "solver_log.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    ja, jb = (json_without_wall_time(p / "estimate.json") for p in (a, b))
+    assert (ja.pop("threads"), jb.pop("threads")) == (1, 3)
+    assert ja == jb
+
+
+def _one_buffer_csv(header, rows) -> bytes:
+    """The whole-buffer CSV writer the streamed one replaces."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("count", [0, 2, 3, 7])
+def test_csv_blocks_are_byte_identical_to_one_buffer(tmp_path, monkeypatch, count):
+    # Three rows a block: none, under one block, exactly one, and a remainder.
+    monkeypatch.setattr(cli, "_CSV_ROWS", 3)
+    rows = [(i, i / 7.0, f"r{i}") for i in range(count)]
+    cli._write_csv(tmp_path / "t.csv", ("a", "b", "c"), iter(rows))
+    assert (tmp_path / "t.csv").read_bytes() == _one_buffer_csv(("a", "b", "c"), rows)
+
+
+@pytest.mark.parametrize("block", [5000, 1000], ids=["under-one-block", "remainder"])
+def test_risk_coverage_csv_streams_byte_identical(tmp_path, monkeypatch, block):
+    # 16^3 voxels: 4096 rows, under one 5000-row block or four 1000-row
+    # blocks and a remainder.
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    est = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
+    assert main(["estimate", "--config", est, "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "_CSV_ROWS", block)
+    assert main(["evaluate", "--config", write_cfg(tmp_path, "ev.json", {}),
+                 "--out", str(out)]) == 0
+    u = read_volume(out / "u.rcv")
+    pred = DenseTransform(read_volume(out / "pred.rcv").data.astype(np.float64))
+    curve = risk_coverage(error_map(pred, cli._truth_from(out), RoiMask.full(u.shape)), u)
+    columns = (curve.coverage, curve.risk, curve.bin_mean_uncertainty)
+    expected = _one_buffer_csv(("coverage", "risk", "bin_mean_uncertainty"),
+                               zip(*(c.tolist() for c in columns)))
+    assert (out / "risk_coverage.csv").read_bytes() == expected
+
+
 def test_evaluate_reports_undefined_for_degenerate_correlations(tmp_path, capsys):
     # a constant uncertainty map leaves the correlations with no spread
     # to rank against; the report must say so instead of emitting NaN
@@ -514,6 +575,22 @@ def test_nonpositive_threads_exits_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
     rc = main(["estimate", "--config", cfg, "--out", str(out), "--threads", "0"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_threads_above_ceiling_exits_one(tmp_path, capsys, where):
+    # No pair is simulated: a missed check would exit 3 reading it, before
+    # any sample thread starts.
+    too_many = MAX_THREADS + 1
+    cfg = oracle_est_cfg(count=4, **({"threads": too_many} if where == "config" else {}))
+    argv = ["--threads", str(too_many)] if where == "flag" else []
+    out = tmp_path / "empty"
+    rc = main(["estimate", "--config", write_cfg(tmp_path, "est.json", cfg),
+               "--out", str(out), *argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error") and "'threads'" in err and str(MAX_THREADS) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate-pair", "evaluate", "lemma-check"])
@@ -769,7 +846,7 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
     ],
 )
 def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
-    out = tmp_path / "o"
+    out = tmp_path / "nd" / "deeper"
     command, _, empty = command.partition("@")
     if command in ("estimate", "evaluate") and not empty:
         simulate(tmp_path, out, base_sim_cfg(shape=[16, 16, 16]))
@@ -777,6 +854,7 @@ def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
         est = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
         assert main(["estimate", "--config", est, "--out", str(out)]) == 0
     capsys.readouterr()
+    fresh = not out.exists()
     path = write_cfg(tmp_path, "cfg.json", cfg)
     rc = main([command, "--config", path, "--out", str(out)])
     printed = capsys.readouterr()
@@ -794,6 +872,9 @@ def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
     if command == "simulate-pair":
         unwritten.append("source.rcv")
     assert [name for name in unwritten if (out / name).exists()] == []
+    # Nor does it create a fresh output directory or its parents.
+    if fresh:
+        assert not (tmp_path / "nd").exists()
 
 
 @pytest.mark.parametrize("key", ["mask_path", "mu_field_path"])

@@ -27,6 +27,7 @@ from regcert.geometry import (
     trilinear_sample,
 )
 from regcert import geometry
+from regcert.volume import Volume3, warp
 
 
 def lerp_sample_oracle(field, p):
@@ -434,6 +435,64 @@ def test_bspline_full_grid_peak_memory_stays_block_sized(method):
     finally:
         tracemalloc.stop()
     assert peak < 12 << 20, f"{method} peaked at {peak / 2**20:.1f} MiB"
+
+
+GRID_CASES = {
+    # Odd sizes, a size-2 axis and spacing 2.
+    "odd-size-2-spacing-2": ((5, 2, 7), 2, (0, 0, 0)),
+    "all-size-2": ((2, 2, 2), 2, (0, 0, 0)),
+    "anisotropic": ((12, 23, 37), 5, (0, 0, 0)),
+    # Control grid larger than bspline_control_shape on every axis.
+    "oversized": ((13, 9, 11), 3, (2, 1, 3)),
+}
+
+
+def _grid_case(name, seed):
+    shape, h, extra = GRID_CASES[name]
+    rng = np.random.default_rng(seed)
+    cshape = tuple(n + e for n, e in zip(bspline_control_shape(shape, h), extra))
+    return BSplineTransform(h, rng.uniform(-3.0, 3.0, size=cshape + (3,)), shape), rng
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_bspline_grid_path_equals_point_kernel_bitwise(name):
+    t, _ = _grid_case(name, 19)
+    # The domain, and a larger grid whose far points clamp to the last cell.
+    for shape in (t.domain_shape, tuple(n + 4 for n in t.domain_shape)):
+        pts = grid_points(shape).reshape(-1, 3)
+        assert t.apply_grid(shape).tobytes() == t.apply(pts).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_warp_dense_and_compose_of_bspline_equal_point_kernel(name):
+    t, rng = _grid_case(name, 20)
+    shape = t.domain_shape
+    pts = grid_points(shape).reshape(-1, 3)
+    mapped = t.apply(pts)
+    field = (mapped - pts).reshape(shape + (3,))
+    assert dense(t, shape).displacement.tobytes() == field.tobytes()
+    for outer in (small_affine(rng), t):
+        expected = (outer.apply(mapped) - pts).reshape(shape + (3,))
+        assert compose(outer, t, shape).displacement.tobytes() == expected.tobytes()
+    vol = Volume3(rng.uniform(0.0, 1.0, size=shape + (2,)))
+    expected = trilinear_sample(vol.data, mapped).reshape(vol.data.shape).astype(np.float32)
+    assert warp(vol, t).data.tobytes() == expected.tobytes()
+
+
+def test_bspline_grid_path_peak_memory_is_a_few_outputs():
+    # The (V, 3) result and the last stage's accumulator and term: 2.5 MiB
+    # on 32^3, where the point kernel's block gather alone is 3 MiB.
+    shape = (32, 32, 32)
+    rng = np.random.default_rng(21)
+    t = BSplineTransform(4, rng.uniform(-2.0, 2.0, size=bspline_control_shape(shape, 4) + (3,)),
+                         shape)
+    tracemalloc.start()
+    try:
+        t.apply_grid(shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, f"apply_grid peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_bspline_spacing_validation():

@@ -26,6 +26,7 @@ from regcert.register import (
     RegistrationBackend,
 )
 from regcert.uncertainty import (
+    MAX_THREADS,
     REGIME_STRENGTH_MAX,
     decompose_cov,
     estimate_uncertainty,
@@ -280,9 +281,10 @@ def test_image_backend_receives_the_warped_source(monkeypatch):
 
 def test_threads_validation():
     shape = (6, 6, 6)
-    with pytest.raises(ValueError, match="threads"):
-        estimate_uncertainty(OracleBackend(PHI, ErrorModel()), blank(shape), blank(shape),
-                             spec_for("translation", shape), threads=0)
+    for threads in (0, MAX_THREADS + 1):
+        with pytest.raises(ValueError, match="threads"):
+            estimate_uncertainty(OracleBackend(PHI, ErrorModel()), blank(shape), blank(shape),
+                                 spec_for("translation", shape), threads=threads)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from regcert.volume import (
     read_nifti,
     read_volume,
     warp,
+    write_atomic,
     write_volume,
 )
 
@@ -213,6 +214,36 @@ def test_rcv_byte_layout(tmp_path):
     off = 80 + 4 * (c + channels * (x + nx * (y + ny * z)))
     (val,) = struct.unpack_from("<f", raw, off)
     assert val == vol.data[x, y, z, c]
+
+
+def test_rcv_payload_is_every_value_in_file_order(tmp_path):
+    # The payload streams from the interleaved array; (z, y, x, c) C order is
+    # the same layout spelled independently.
+    rng = np.random.default_rng(7)
+    vol = Volume3(rng.random((5, 3, 4, 2)))
+    p = tmp_path / "v.rcv"
+    write_volume(p, vol)
+    assert p.read_bytes()[80:] == vol.data.transpose(2, 1, 0, 3).astype("<f4").tobytes()
+
+
+def test_write_atomic_writes_chunks_in_turn(tmp_path):
+    p = tmp_path / "artifact"
+    write_atomic(p, (b"ab", bytearray(b"c"), memoryview(b"de"), np.arange(2, dtype="<u2")))
+    assert p.read_bytes() == b"abcde\x00\x00\x01\x00"
+
+
+def test_write_atomic_iterator_failure_keeps_old_target(tmp_path):
+    p = tmp_path / "artifact"
+    write_atomic(p, b"old")
+
+    def chunks():
+        yield b"first half of the new file"
+        raise RuntimeError("stream broke")
+
+    with pytest.raises(RuntimeError, match="stream broke"):
+        write_atomic(p, chunks())
+    assert p.read_bytes() == b"old"
+    assert [q.name for q in tmp_path.iterdir()] == ["artifact"]
 
 
 def test_rcv_truncated_payload_rejected(tmp_path):
