@@ -66,21 +66,24 @@ def trilinear_sample(field: np.ndarray, pts: np.ndarray) -> np.ndarray:
     Exact at voxel centers: integer coordinates return stored values
     untouched.  Accumulation is float64 regardless of the field dtype.
 
-    Points are taken in blocks of ``_BLOCK`` through buffers allocated once
-    per call; each point's arithmetic is its own, so a point's value does not
-    depend on the batch it comes in.
+    The values accumulate in (C, N) channel rows and come back as their
+    (N, C) transpose, so ``.T`` hands a caller contiguous channel rows
+    without a copy.  Points are taken in blocks of ``_BLOCK`` through
+    buffers allocated once per call; each point's arithmetic is its own, so
+    a point's value does not depend on the batch it comes in.
     """
     scalar = field.ndim == 3
     data = field[..., None] if scalar else field
     shape = data.shape[:3]
     rows = data.reshape(-1, data.shape[3])
+    channels = rows.shape[1]
     strides = (shape[1] * shape[2], shape[2], 1)
     # A corner's flat index is the lower corner's plus a constant: the upper
     # neighbour is one stride up, or the voxel itself on a size-1 axis.
     up = [strides[ax] if shape[ax] > 1 else 0 for ax in range(3)]
 
     n = len(pts)
-    out = np.zeros((n, rows.shape[1]), dtype=np.float64)
+    out = np.zeros((channels, n), dtype=np.float64)
     b = min(n, _BLOCK)
     x = np.empty(b)
     i0 = np.empty(b, dtype=np.intp)
@@ -90,15 +93,15 @@ def trilinear_sample(field: np.ndarray, pts: np.ndarray) -> np.ndarray:
     w = np.empty((3, 2, b))
     wxy = np.empty(b)
     wc = np.empty(b)
-    vals = np.empty((b, rows.shape[1]), dtype=rows.dtype)
+    vals = np.empty((b, channels), dtype=rows.dtype)
     # Products are taken in float64 whatever the field dtype.
-    prod = vals if rows.dtype == np.float64 else np.empty((b, rows.shape[1]))
+    prod = np.empty(b)
     for s in range(0, n, _BLOCK):
         p = pts[s : s + _BLOCK]
         m = len(p)
         x_, i0_, base_, idx_ = x[:m], i0[:m], base[:m], idx[:m]
         w_, wxy_, wc_ = w[:, :, :m], wxy[:m], wc[:m]
-        vals_, prod_, acc = vals[:m], prod[:m], out[s : s + m]
+        vals_, prod_, acc = vals[:m], prod[:m], out[:, s : s + m]
         base_.fill(0)
         for ax in range(3):
             np.clip(p[:, ax], 0.0, shape[ax] - 1.0, out=x_)
@@ -118,12 +121,12 @@ def trilinear_sample(field: np.ndarray, pts: np.ndarray) -> np.ndarray:
             # Indices are in range by construction; mode="clip" avoids
             # the temporary copy of ``out`` that mode="raise" makes.
             rows.take(idx_, axis=0, out=vals_, mode="clip")
-            # One long loop per channel, not a (b, 1) x (b, C) broadcast
-            # whose inner loop is C long.
-            for c in range(rows.shape[1]):
-                np.multiply(wc_, vals_[:, c], out=prod_[:, c])
-            acc += prod_
-    return out[:, 0] if scalar else out
+            # One long loop per channel row, not a (b, 1) x (b, C)
+            # broadcast whose inner loop is C long.
+            for c in range(channels):
+                np.multiply(wc_, vals_[:, c], out=prod_)
+                acc[c] += prod_
+    return out[0] if scalar else out.T
 
 
 class Transform:

@@ -60,9 +60,15 @@ def error_map(pred: DenseTransform, truth: Transform, mask: RoiMask | None = Non
     if mask.shape != shape:
         raise ValueError(f"mask shape {mask.shape} does not match prediction grid {shape}")
     grid = grid_points(shape).reshape(-1, 3)
-    pred_pos = grid + pred.displacement.reshape(-1, 3)
     true_pos = truth.apply(grid)
-    e = np.linalg.norm(pred_pos - true_pos, axis=1).reshape(shape)
+    # One (V, 3) buffer, grid first, then pred(y) - truth(y) and its square:
+    # the arithmetic of np.linalg.norm(axis=1) without its temporaries.
+    diff = grid
+    diff += pred.displacement.reshape(-1, 3)
+    diff -= true_pos
+    del true_pos
+    diff *= diff
+    e = np.sqrt(np.add.reduce(diff, axis=1)).reshape(shape)
     return ErrorMap(e, mask)
 
 

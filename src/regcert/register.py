@@ -130,7 +130,9 @@ class ErrorModel:
     def mean(self, tau: Transform, pts: np.ndarray) -> np.ndarray:
         """mu_eps(tau; y) at (N, 3) points, shape (N, 3)."""
         if self.mu_field is not None:
-            base = trilinear_sample(self.mu_field, pts)
+            # In C order, as the constant mean's: the einsums that take it
+            # (the jitter moments) sum in a stride-dependent order.
+            base = np.ascontiguousarray(trilinear_sample(self.mu_field, pts))
         else:
             base = np.broadcast_to(self.mu, (len(pts), 3)).copy()
         if self.mu_scale is not None:
@@ -306,31 +308,37 @@ def _pyramid(arr: np.ndarray, levels: int, min_size: int = 8):
     return out
 
 
-def _image_gradient(arr: np.ndarray):
-    gx, gy, gz = np.gradient(arr)
-    return np.stack([gx, gy, gz], axis=-1)
-
-
 def _ssd_level(src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray,
                iters: int, step: float, level: int, log: list):
     """Diagonally preconditioned gradient descent on mean SSD at one level.
 
     Per-voxel quantities are contiguous (3, N) channel rows, so each sum over
-    voxels is a row reduction.
+    voxels is a row reduction.  A trial keeps one per-voxel sample alive: its
+    descent terms are reduced as soon as it is gathered, and only they are
+    kept for the next step.
     """
     shape = tgt.shape
     center = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
-    q = np.ascontiguousarray((grid_points(shape).reshape(-1, 3) - center).T)
-    q2 = q * q
+    q = np.empty((3,) + shape)
+    q[0] = (np.arange(shape[0], dtype=np.float64) - center[0])[:, None, None]
+    q[1] = (np.arange(shape[1], dtype=np.float64) - center[1])[None, :, None]
+    q[2] = (np.arange(shape[2], dtype=np.float64) - center[2])[None, None, :]
+    q = q.reshape(3, -1)
     tgt_flat = tgt.reshape(-1).astype(np.float64)
     # Intensity and gradient as one field, so a trial costs one gather.
     src_and_grad = np.empty(shape + (4,))
     src_and_grad[..., 0] = src
-    src_and_grad[..., 1:] = _image_gradient(src.astype(np.float64))
+    for ax in range(3):
+        src_and_grad[..., 1 + ax] = np.gradient(src_and_grad[..., 0], axis=ax)
     m = q.shape[1]
     pos = np.empty((3, m))
 
-    def objective(a_, b_):
+    def objective(a_, b_, slopes_at):
+        """Mean SSD at (a_, b_), and its descent terms if it is at most slopes_at.
+
+        slopes_at None gathers intensity only: the float32 level gives the
+        same float64 products as the joint field's intensity channel.
+        """
         # One row per axis, not a BLAS product (see AffineTransform.apply);
         # trilinear_sample reads pos.T, an (N, 3) view of the rows.
         for i in range(3):
@@ -339,33 +347,45 @@ def _ssd_level(src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray,
             pos[i] += a_[i, 2] * q[2]
             pos[i] += center[i]
             pos[i] += b_[i]
-        sampled = np.ascontiguousarray(trilinear_sample(src_and_grad, pos.T).T)
-        r = sampled[0] - tgt_flat
-        return sampled[1:], r, float(np.mean(r * r))
+        if slopes_at is None:
+            r = trilinear_sample(src, pos.T)
+        else:
+            sampled = trilinear_sample(src_and_grad, pos.T).T
+            r, g = sampled[0], sampled[1:]
+        r -= tgt_flat
+        # pos is spent: it is the scratch for r * r, g * r and q * q.
+        np.multiply(r, r, out=pos[0])
+        e = float(np.mean(pos[0]))
+        if slopes_at is None or e > slopes_at:
+            return e, None
+        np.multiply(g, r, out=pos)
+        grad_u = 2.0 / m * pos.sum(axis=1)
+        np.multiply(pos, 2.0 / m, out=pos)
+        grad_a = np.einsum("in,jn->ij", pos, q)
+        # Gauss-Newton diagonal as a per-parameter scale.
+        g *= g
+        h_u = 2.0 / m * g.sum(axis=1)
+        g *= 2.0 / m
+        np.multiply(q, q, out=pos)
+        h_a = np.einsum("in,jn->ij", g, pos)
+        return e, (grad_u, grad_a, h_u, h_a)
 
     u = b + a @ center - center  # offset in the centered parameterization
-    g, r, e = objective(a, u)
+    e, slopes = objective(a, u, np.inf)
     best_a, best_u, best_e = a.copy(), u.copy(), e
     eta = step
     increases = 0
     diverged = False
     for it in range(iters):
-        rg = g * r
-        grad_u = 2.0 / m * rg.sum(axis=1)
-        rg *= 2.0 / m
-        grad_a = np.einsum("in,jn->ij", rg, q)
-        # Gauss-Newton diagonal as a per-parameter scale.
-        g2 = g * g
-        h_u = 2.0 / m * g2.sum(axis=1)
-        g2 *= 2.0 / m
-        h_a = np.einsum("in,jn->ij", g2, q2)
+        grad_u, grad_a, h_u, h_a = slopes
         floor = 1e-12 * max(float(h_a.max()), float(h_u.max()), 1e-300)
         new_a = a - eta * grad_a / np.maximum(h_a, floor)
         new_u = u - eta * grad_u / np.maximum(h_u, floor)
-        g_n, r_n, e_n = objective(new_a, new_u)
+        # Only an accepted trial's terms are read, and the last trial's never.
+        e_n, slopes_n = objective(new_a, new_u, e if it < iters - 1 else None)
         if e_n <= e:
             improvement = e - e_n
-            a, u, g, r, e = new_a, new_u, g_n, r_n, e_n
+            a, u, e, slopes = new_a, new_u, e_n, slopes_n
             eta = min(eta * 1.2, 1.0)
             increases = 0
             if e < best_e:
@@ -374,6 +394,7 @@ def _ssd_level(src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray,
                 log.append((level, it, e, eta))
                 break
         else:
+            # The point did not move, so its cached terms stand.
             eta *= 0.5
             # At a minimum, rejected trials approach the floor from above
             # with geometrically decaying excess; that is convergence, not

@@ -242,12 +242,13 @@ def read_volume(path) -> Volume3:
     if channels < 1 or min(nx, ny, nz) < 1:
         raise VolumeFormatError(f"{path}: bad dimensions channels={channels} shape=({nx}, {ny}, {nz})")
     count = channels * nx * ny * nz
-    payload = raw[16 + meta_size :]
-    if len(payload) != 4 * count:
+    payload_size = len(raw) - (16 + meta_size)
+    if payload_size != 4 * count:
         raise VolumeFormatError(
-            f"{path}: payload length mismatch (expected {4 * count} bytes, got {len(payload)})"
+            f"{path}: payload length mismatch (expected {4 * count} bytes, got {payload_size})"
         )
-    flat = np.frombuffer(payload, dtype="<f4")
+    # A view of the payload inside raw, not a sliced copy of it.
+    flat = np.frombuffer(raw, dtype="<f4", count=count, offset=16 + meta_size)
     if not np.all(np.isfinite(flat)):
         raise VolumeFormatError(f"{path}: non-finite values in payload")
     data = _deinterleave(flat, (nx, ny, nz), channels)

@@ -159,6 +159,30 @@ def test_trilinear_sample_bitwise_matches_fancy_index_oracle(shape, channels, dt
         assert got.tobytes() == want.tobytes()
 
 
+def test_trilinear_sample_channel_rows_equal_scalar_samples():
+    # The (N, C) result is the transpose of contiguous channel rows, and each
+    # row is that channel sampled alone.
+    rng = np.random.default_rng(23)
+    field = rng.standard_normal((9, 7, 8, 4))
+    pts = rng.uniform(-1.0, 10.0, size=(geometry._BLOCK + 5, 3))
+    rows = trilinear_sample(field, pts).T
+    assert rows.flags.c_contiguous
+    for c in range(4):
+        assert rows[c].tobytes() == trilinear_sample(field[..., c], pts).tobytes()
+
+
+def test_trilinear_sample_of_float32_intensity_equals_joint_field_channel():
+    # The SSD level's last trial gathers its float32 intensity alone: the
+    # same float64 products as the joint field's channel 0.
+    rng = np.random.default_rng(24)
+    src = rng.standard_normal((9, 7, 8)).astype(np.float32)
+    joint = np.empty(src.shape + (4,))
+    joint[..., 0] = src
+    joint[..., 1:] = rng.standard_normal(src.shape + (3,))
+    pts = rng.uniform(-1.0, 10.0, size=(geometry._BLOCK + 5, 3))
+    assert trilinear_sample(joint, pts)[:, 0].tobytes() == trilinear_sample(src, pts).tobytes()
+
+
 def test_dense_identity_is_identity():
     t = DenseTransform(np.zeros((3, 4, 5, 3)))
     g = grid_points((3, 4, 5)).reshape(-1, 3)

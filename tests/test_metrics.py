@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 # (see test_stages_run_without_scipy).
 from scipy.stats import rankdata
 
-from regcert.geometry import DenseTransform, TranslationTransform, grid_points
+from regcert.geometry import AffineTransform, DenseTransform, TranslationTransform, grid_points
 from regcert.metrics import (
     ErrorMap,
     _average_ranks,
@@ -70,6 +70,19 @@ def test_error_map_magnitude_hand_example():
     e = error_map(DenseTransform(disp), truth)
     assert e.values[1, 2, 3] == pytest.approx(5.0)
     assert e.values[0, 0, 0] == 0.0
+
+
+def test_error_map_equals_norm_of_the_difference_bitwise():
+    # error_map works in one buffer; the values are np.linalg.norm's.
+    shape = (7, 6, 5)
+    rng = np.random.default_rng(4)
+    pred = DenseTransform(rng.normal(size=shape + (3,)))
+    c = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
+    grid = grid_points(shape).reshape(-1, 3)
+    for truth in (TranslationTransform((0.3, -1.2, 2.0)),
+                  AffineTransform.center_fixed(np.diag([1.05, 0.97, 1.02]), c, (0.4, 0.1, -0.3))):
+        want = np.linalg.norm(grid + pred.displacement.reshape(-1, 3) - truth.apply(grid), axis=1)
+        assert error_map(pred, truth).values.tobytes() == want.reshape(shape).tobytes()
 
 
 def test_error_map_respects_mask():

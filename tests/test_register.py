@@ -4,6 +4,7 @@ Solver bounds are frozen from reference runs on the blobs phantom; they are
 regression tests, not statements about solver quality in general.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,6 @@ from regcert.register import (
     affine_ssd_register,
     demons_register,
 )
-from regcert.register import _image_gradient
 from regcert.volume import Volume3, make_phantom, warp
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
@@ -112,7 +112,11 @@ def test_mu_field_is_interpolated():
     field = grid_points((6, 6, 6))  # mu(y) = y
     m = ErrorModel(mu_field=field)
     pts = np.array([[1.25, 2.5, 3.75], [0.0, 0.0, 5.0]])
-    assert np.allclose(m.mean(TranslationTransform((0.0, 0.0, 0.0)), pts), pts, atol=1e-12)
+    mean = m.mean(TranslationTransform((0.0, 0.0, 0.0)), pts)
+    assert np.allclose(mean, pts, atol=1e-12)
+    # np.einsum("nij,nj->ni", ...) of the jitter moments sums in an order
+    # that depends on the operand's strides.
+    assert mean.flags.c_contiguous
 
 
 def test_sigma_scale_scales_covariance():
@@ -266,7 +270,7 @@ def row_major_ssd_level(src, tgt, a, b, iters, step, level, log):
     tgt_flat = tgt.reshape(-1).astype(np.float64)
     src_and_grad = np.empty(shape + (4,))
     src_and_grad[..., 0] = src
-    src_and_grad[..., 1:] = _image_gradient(src.astype(np.float64))
+    src_and_grad[..., 1:] = np.stack(np.gradient(src.astype(np.float64)), axis=-1)
     m = len(grid)
 
     def objective(a_, b_):
@@ -340,6 +344,23 @@ def test_affine_ssd_matches_row_major_reference(monkeypatch):
     assert got.final_ssd == pytest.approx(want.final_ssd, rel=1e-12)
     assert got.diverged == want.diverged
     assert len(got.log) > 20
+
+
+def test_affine_ssd_peak_memory_is_one_sample():
+    # Criterion 7's solver on 48^3.  At the finest level a trial holds the
+    # centred grid, the point rows, the target, the joint intensity and
+    # gradient field and one (4, N) sample: about 14 MiB.  Keeping a second
+    # sample and its products for the next step was 28 MiB.
+    shape = (48, 48, 48)
+    src = make_phantom(shape, "blobs", seed=1)
+    tgt = warp(src, TranslationTransform((1.3, -0.7, 0.4)))
+    tracemalloc.start()
+    try:
+        affine_ssd_register(src, tgt, levels=3, iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"affine_ssd_register peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_affine_ssd_validation():

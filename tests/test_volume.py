@@ -6,6 +6,7 @@ trips, so a reader bug cannot hide behind a matching writer bug.
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ def test_write_atomic_iterator_failure_keeps_old_target(tmp_path):
         write_atomic(p, chunks())
     assert p.read_bytes() == b"old"
     assert [q.name for q in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_read_volume_peak_memory_is_the_file_and_the_volume(tmp_path):
+    # The payload is read in place from the file's bytes; only the volume's
+    # own array is a second copy.
+    vol = Volume3(np.random.default_rng(9).standard_normal((32, 32, 32, 6)))
+    path = tmp_path / "v.rcv"
+    write_volume(path, vol)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        got = read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.data.tobytes() == vol.data.tobytes()
+    assert peak < 2.2 * size, f"read_volume peaked at {peak / size:.2f}x the file size"
 
 
 def test_rcv_truncated_payload_rejected(tmp_path):
