@@ -155,7 +155,7 @@ def _write_json(path, obj) -> None:
 
 
 # Rows per encoded CSV chunk, and per tolist() slice of a risk-coverage column.
-_CSV_ROWS = 4096
+_CSV_ROWS = 512
 
 
 def _write_csv(path, header, rows) -> None:

@@ -261,7 +261,8 @@ class OracleBackend(RegistrationBackend):
                             inverted_positions=positions, inversion_residual=residual)
 
 
-def _gaussian(arr: np.ndarray, sigma: float, step: int = 1) -> np.ndarray:
+def _gaussian(arr: np.ndarray, sigma: float, step: int = 1,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian smoothing of the last three axes, keeping every step-th voxel of each.
 
     Bit for bit scipy.ndimage.gaussian_filter(arr, sigma, mode="nearest")
@@ -270,22 +271,31 @@ def _gaussian(arr: np.ndarray, sigma: float, step: int = 1) -> np.ndarray:
     extended, each output x_0 w_0 plus (x_-j + x_j) w_j from the outermost
     pair inwards in float64, and each axis's result stored in arr's dtype.
     Like scipy, sigma <= 1e-15 leaves the values as they are.
+
+    The result is written to out when it is given (it may be arr itself,
+    which is read only by the first pass) and to a new array otherwise.
     """
     if sigma <= 1e-15:
-        return arr[..., ::step, ::step, ::step].copy()
+        kept = arr[..., ::step, ::step, ::step]
+        if out is None:
+            return kept.copy()
+        out[...] = kept
+        return out
     radius = int(4.0 * sigma + 0.5)
     x = np.arange(-radius, radius + 1)
     w = np.exp(-0.5 / (sigma * sigma) * x**2)
     w = w / w.sum()
-    out = arr
+    cur = arr
     for _ in range(3):
         # The filtered axis comes first among the three and is rotated last
         # afterwards, so every pass reads contiguous blocks.
-        n = out.shape[-3]
-        pad = np.empty(out.shape[:-3] + (n + 2 * radius,) + out.shape[-2:])
-        pad[..., radius:radius + n, :, :] = out
-        pad[..., :radius, :, :] = out[..., :1, :, :]
-        pad[..., radius + n:, :, :] = out[..., -1:, :, :]
+        n = cur.shape[-3]
+        pad = np.empty(cur.shape[:-3] + (n + 2 * radius,) + cur.shape[-2:])
+        pad[..., radius:radius + n, :, :] = cur
+        pad[..., :radius, :, :] = cur[..., :1, :, :]
+        pad[..., radius + n:, :, :] = cur[..., -1:, :, :]
+        # The pad holds the pass's input now: the last pass's result is freed.
+        cur = None
         acc = pad[..., radius:radius + n:step, :, :] * w[radius]
         pair = np.empty_like(acc)
         for j in range(radius, 0, -1):
@@ -293,8 +303,12 @@ def _gaussian(arr: np.ndarray, sigma: float, step: int = 1) -> np.ndarray:
                    pad[..., radius + j:radius + j + n:step, :, :], out=pair)
             pair *= w[radius - j]
             acc += pair
-        out = np.moveaxis(acc.astype(arr.dtype, copy=False), -3, -1)
-    return np.ascontiguousarray(out)
+        del pad, pair
+        cur = np.moveaxis(acc.astype(arr.dtype, copy=False), -3, -1)
+    if out is None:
+        return np.ascontiguousarray(cur)
+    out[...] = cur
+    return out
 
 
 def _pyramid(arr: np.ndarray, levels: int, min_size: int = 8):
@@ -479,28 +493,58 @@ def demons_register(
         raise ValueError("demons_register expects 1-channel volumes")
     _check_demons_params(iters, smooth_sigma)
     shape = target.shape
-    grid = grid_points(shape).reshape(-1, 3)
+    if min(shape) < 2:
+        raise ValueError(f"demons_register needs at least 2 voxels per axis, got {shape}")
     tgt = target.scalar.astype(np.float64)
     src = source.scalar
-    # Channel-major (3, nx, ny, nz), so the three components smooth in one call.
+    # Channel-major (3, nx, ny, nz), so the three components smooth in one
+    # call.  Every per-voxel buffer is allocated once per call: pos holds the
+    # sample positions, then the gradient of the warped source.
     disp = np.zeros((3,) + shape, dtype=np.float64)
+    pos = np.empty_like(disp)
+    denom = np.empty(shape)
+    sq = np.empty(shape)
+    coords = [np.arange(n, dtype=np.float64).reshape([-1 if a == ax else 1 for a in range(3)])
+            for ax, n in enumerate(shape)]
+
+    def warp_by_disp():
+        for ax in range(3):
+            np.add(disp[ax], coords[ax], out=pos[ax])
+        return trilinear_sample(src, pos.reshape(3, -1).T).reshape(shape)
+
     log = []
     for it in range(iters):
-        warped = trilinear_sample(src, grid + disp.reshape(3, -1).T).reshape(shape)
-        diff = tgt - warped
-        grad = np.array(np.gradient(warped))
-        denom = grad[0] * grad[0] + grad[1] * grad[1] + grad[2] * grad[2] + diff * diff
-        safe = np.where(denom > 1e-12, denom, 1.0)
-        scale = np.where(denom > 1e-12, diff / safe, 0.0)
-        disp += scale * grad
+        warped = warp_by_disp()
+        grad = pos
+        # np.gradient(warped) with edge_order 1, bit for bit: central
+        # differences / 2.0 inside, one-sided differences (/ 1.0) at the ends.
+        for ax in range(3):
+            g = np.moveaxis(grad[ax], ax, 0)
+            f = np.moveaxis(warped, ax, 0)
+            np.subtract(f[2:], f[:-2], out=g[1:-1])
+            g[1:-1] /= 2.0
+            np.subtract(f[1], f[0], out=g[0])
+            np.subtract(f[-1], f[-2], out=g[-1])
+        diff = np.subtract(tgt, warped, out=warped)
+        # ((g0^2 + g1^2) + g2^2) + diff^2, summed in the expression's order.
+        np.multiply(grad[0], grad[0], out=denom)
+        for term in (grad[1], grad[2], diff):
+            np.multiply(term, term, out=sq)
+            denom += sq
+        log.append((it, float(np.mean(sq))))
+        sq.fill(0.0)
+        np.divide(diff, denom, out=sq, where=denom > 1e-12)
+        grad *= sq
+        disp += grad
         if smooth_sigma > 0:
-            disp = _gaussian(disp, smooth_sigma)
-        log.append((it, float(np.mean(diff * diff))))
+            _gaussian(disp, smooth_sigma, out=disp)
     # The log rows describe the field each update started from; final_ssd
     # describes the field that is returned.
-    final = tgt - trilinear_sample(src, grid + disp.reshape(3, -1).T).reshape(shape)
+    final = warp_by_disp()
+    np.subtract(tgt, final, out=final)
+    final *= final
     return Registration(DenseTransform(np.moveaxis(disp, 0, -1).copy()), tuple(log),
-                        ("iteration", "ssd"), final_ssd=float(np.mean(final * final)))
+                        ("iteration", "ssd"), final_ssd=float(np.mean(final)))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,10 @@ class _Moments:
             self.s2 = np.zeros((len(x), 6), dtype=np.float64)
         c = x - self.ref
         self.s1 += c
-        self.s2 += _outer_tri(c)
+        # One column at a time: add runs on the calling thread while the
+        # sample threads work, so it holds no (V, 6) temporary.
+        for k, (i, j) in enumerate(_TRI):
+            self.s2[:, k] += c[:, i] * c[:, j]
         self.n += 1
 
     def finalize(self, divisor) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +122,10 @@ def _one_sample(backend, source, target, spec, n, observers):
             # The exception type cannot be built from a message alone.
             wrapped = RuntimeError(msg)
         raise wrapped from exc
-    grid = grid_points(fitted.shape).reshape(-1, 3)
+    pts = grid_points(fitted.shape).reshape(-1, 3)
+    pts += fitted.displacement.reshape(-1, 3)
     # Compose tau o fitted with tau evaluated analytically at fitted(y).
-    x = tau.apply(grid + fitted.displacement.reshape(-1, 3))
+    x = tau.apply(pts)
     return [observe(n, tau, reg, x) for observe in observers]
 
 

@@ -4,11 +4,15 @@ closed_form_cov_affine is the closed-form covariance for affine
 perturbations at one point: criterion 3 checks the estimator against it at
 one voxel, and the uncertainty tests check it against a hand example and
 against decompose_cov.  tri_to_matrices unpacks the estimator's per-voxel
-covariance components for comparison with full matrices.
+covariance components for comparison with full matrices.  demons_reference
+is the demons loop written with a fresh array per step, which
+demons_register must equal bit for bit.
 """
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
+from regcert.geometry import grid_points, trilinear_sample
 from regcert.register import ErrorModel
 from regcert.uncertainty import _TRI
 
@@ -45,3 +49,30 @@ def closed_form_cov_affine(samples, model: ErrorModel, y) -> tuple[np.ndarray, n
     c = w - w.mean(axis=0)
     jitter = c.T @ c / len(samples)
     return intr, jitter
+
+
+def demons_reference(source, target, iters: int, smooth_sigma: float):
+    """Thirion demons as a plain loop: (displacement (nx, ny, nz, 3), log, final_ssd).
+
+    np.gradient for the gradient, a new array for every intermediate, and
+    scipy's gaussian_filter on the three spatial axes for the smoothing.
+    """
+    shape = target.shape
+    grid = grid_points(shape).reshape(-1, 3)
+    tgt = target.scalar.astype(np.float64)
+    src = source.scalar
+    disp = np.zeros((3,) + shape)
+    log = []
+    for it in range(iters):
+        warped = trilinear_sample(src, grid + disp.reshape(3, -1).T).reshape(shape)
+        diff = tgt - warped
+        grad = np.array(np.gradient(warped))
+        denom = grad[0] * grad[0] + grad[1] * grad[1] + grad[2] * grad[2] + diff * diff
+        safe = np.where(denom > 1e-12, denom, 1.0)
+        scale = np.where(denom > 1e-12, diff / safe, 0.0)
+        disp += scale * grad
+        if smooth_sigma > 0:
+            disp = gaussian_filter(disp, (0.0,) + (smooth_sigma,) * 3, mode="nearest")
+        log.append((it, float(np.mean(diff * diff))))
+    final = tgt - trilinear_sample(src, grid + disp.reshape(3, -1).T).reshape(shape)
+    return np.moveaxis(disp, 0, -1), tuple(log), float(np.mean(final * final))

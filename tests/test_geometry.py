@@ -428,6 +428,17 @@ def test_bspline_chunking_is_bitwise_invisible(lattice, monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1728, 2047, 2048, 3000, 32768])
+def test_bspline_blocks_cover_the_points_once(n):
+    # Every point once, in order; a block holds one to two _BSPLINE_BLOCKs,
+    # and a call under two blocks is one block.
+    size = geometry._BSPLINE_BLOCK
+    blocks = geometry._bspline_blocks(n)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    assert len(blocks) == (max(1, n // size) if n else 0)
+    assert all(b.stop - b.start < 2 * size for b in blocks)
+
+
 @pytest.mark.parametrize("lattice", sorted(BSPLINE_LATTICES))
 def test_bspline_point_value_does_not_depend_on_its_batch(lattice):
     t, probes = _bspline_case(lattice, 16)
@@ -445,8 +456,8 @@ def test_bspline_point_value_does_not_depend_on_its_batch(lattice):
 
 @pytest.mark.parametrize("method", ["displacement", "displacement_jacobian"])
 def test_bspline_full_grid_peak_memory_stays_block_sized(method):
-    # A 32^3 grid: the output, one block's 3 MiB cell gather and its stages.
-    # An 8192-point block's 12 MiB cell gather alone would reach the bound.
+    # A 32^3 grid: the output, one block's 1.5 MiB cell gather and its
+    # stages.  Two 2048-point gathers alive at once reached 9.5 MiB.
     shape = (32, 32, 32)
     rng = np.random.default_rng(18)
     t = BSplineTransform(4, rng.uniform(-2.0, 2.0, size=bspline_control_shape(shape, 4) + (3,)),
@@ -458,7 +469,7 @@ def test_bspline_full_grid_peak_memory_stays_block_sized(method):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 << 20, f"{method} peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 6 << 20, f"{method} peaked at {peak / 2**20:.1f} MiB"
 
 
 GRID_CASES = {
