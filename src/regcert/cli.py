@@ -361,19 +361,20 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
     source = read_volume(out_dir / "source.rcv")
     target = read_volume(out_dir / "target.rcv")
     spec = replace(spec, shape=source.shape)
-    result = estimate_uncertainty(
-        backend, source, target, spec, unbiased=unbiased, threads=threads
-    )
+    # The oracle's closed-form split rides the estimator's pass, on the target's grid.
+    oracle = isinstance(backend, OracleBackend)
+    closed = decompose_cov(backend, replace(spec, shape=target.shape)) if oracle else None
+    result = estimate_uncertainty(backend, source, target, spec, unbiased=unbiased, threads=threads,
+                                  reducers=[(closed.observe, closed.add)] if closed else [])
     pred = backend.register(source, target)
     write_volume(out_dir / "u.rcv", result.uncertainty)
     write_volume(out_dir / "cov.rcv", _on_grid_of(target, result.cov))
     write_volume(out_dir / "mean.rcv", _on_grid_of(target, result.mean.displacement))
     pred_field = dense(pred.transform, target.shape).displacement
     write_volume(out_dir / "pred.rcv", _on_grid_of(target, pred_field))
-    if isinstance(backend, OracleBackend):
-        dec = decompose_cov(backend, spec)
-        write_volume(out_dir / "intrinsic.rcv", _on_grid_of(target, dec.intrinsic))
-        write_volume(out_dir / "jitter.rcv", _on_grid_of(target, dec.jitter))
+    if closed:
+        write_volume(out_dir / "intrinsic.rcv", _on_grid_of(target, closed.intrinsic))
+        write_volume(out_dir / "jitter.rcv", _on_grid_of(target, closed.jitter))
     if pred.log:
         _write_csv(out_dir / "solver_log.csv", pred.log_header, pred.log)
     _write_json(
@@ -388,7 +389,6 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
             "unbiased": unbiased,
             "seed": seed,
             "threads": threads,
-            "deform_strength": spec.deform_strength,
             "wall_time_s": result.wall_time_s,
         },
     )

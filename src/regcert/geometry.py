@@ -39,7 +39,7 @@ class ConvergenceError(RuntimeError):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
+    out = np.array(a, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
 

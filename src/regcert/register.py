@@ -543,7 +543,7 @@ def demons_register(
     final = warp_by_disp()
     np.subtract(tgt, final, out=final)
     final *= final
-    return Registration(DenseTransform(np.moveaxis(disp, 0, -1).copy()), tuple(log),
+    return Registration(DenseTransform(np.moveaxis(disp, 0, -1)), tuple(log),
                         ("iteration", "ssd"), final_ssd=float(np.mean(final)))
 
 

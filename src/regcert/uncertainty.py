@@ -7,7 +7,7 @@ spread of the N back-mapped transforms.  A matching closed form exists when
 the registration residuals follow an explicit Gaussian model: the covariance
 splits into an intrinsic part (noise pushed through the perturbation
 Jacobian) and a jitter part (spread of the Jacobian-mapped bias), and
-verify_lemma confronts the two on shared perturbation draws.
+verify_lemma confronts the two in one pass over the perturbation draws.
 """
 
 from __future__ import annotations
@@ -202,17 +202,50 @@ def estimate_uncertainty(
     )
 
 
-@dataclass
 class CovDecomposition:
-    """Closed-form covariance split: intrinsic noise vs bias jitter.
+    """Closed-form covariance split, intrinsic noise vs bias jitter, as a reducer.
 
-    Per voxel, intrinsic = mean over draws of J Sigma J^T and jitter is the
-    sample covariance (divisor N) of J mu; both stored as 6 upper-triangle
-    components on the grid.
+    Per voxel, intrinsic is the mean over draws of J Sigma J^T and jitter the
+    sample covariance (divisor N) of J mu, with J = D tau at the oracle's own
+    inversion v = tau^-1(phi(y)); both are 6 upper-triangle components on the
+    grid.  For a linear family under an error model without mu_field, J, mu
+    and Sigma do not depend on y, so both terms are one row: taken at the
+    first voxel and broadcast over the grid, bitwise equal to the per-voxel
+    sums that deform draws and mu_field models take.
     """
 
-    intrinsic: np.ndarray
-    jitter: np.ndarray
+    def __init__(self, model: ErrorModel, shape, one_row: bool):
+        self.model, self.shape = model, tuple(shape)
+        self.rows = slice(0, 1 if one_row else None)
+        self.grid = grid_points(shape).reshape(-1, 3)[self.rows]
+        self.reps = int(np.prod(self.shape)) // len(self.grid)
+        self.intr = np.zeros((len(self.grid), 6), dtype=np.float64)
+        self.jit = _Moments()
+
+    def observe(self, n, tau, reg, x):
+        jac = tau.jacobian(reg.inverted_positions[self.rows])
+        sig = self.model.cov(tau)
+        tri = None
+        if np.any(sig):
+            full = np.einsum("nik,njk->nij", jac @ sig, jac)
+            # Six components wait in the pool's chunk, not the (V, 3, 3) product.
+            tri = np.stack([full[:, i, j] for i, j in _TRI], axis=1)
+        return tri, np.einsum("nij,nj->ni", jac, self.model.mean(tau, self.grid))
+
+    def add(self, value) -> None:
+        tri, jac_mu = value
+        if tri is not None:
+            self.intr += tri
+        self.jit.add(jac_mu)
+
+    @property
+    def intrinsic(self) -> np.ndarray:
+        return np.repeat(self.intr / self.jit.n, self.reps, axis=0).reshape(self.shape + (6,))
+
+    @property
+    def jitter(self) -> np.ndarray:
+        return np.repeat(self.jit.finalize(self.jit.n)[1], self.reps, axis=0).reshape(
+            self.shape + (6,))
 
     @property
     def total(self) -> np.ndarray:
@@ -220,47 +253,38 @@ class CovDecomposition:
 
 
 def decompose_cov(backend: OracleBackend, spec: PerturbSpec) -> CovDecomposition:
-    """Closed-form covariance over the spec.count perturbation draws of spec.
+    """The split over spec's draws on the grid of spec.shape, the target's.
 
-    Uses the same draw streams as estimate_uncertainty, so empirical and
-    closed-form sides see identical perturbations.  Requires the oracle
-    backend: only there is the error model known analytically.
-
-    For a linear family under an error model without mu_field, J, mu and
-    Sigma do not depend on y, so both terms are one row: it is computed at
-    one voxel and broadcast over the grid, bitwise equal to the per-voxel
-    loop that deform draws and mu_field models run.
+    It is reduced in estimate_uncertainty's pass with the oracle backend: only
+    there is the error model known, and only it returns the inversions used.
     """
     if not isinstance(backend, OracleBackend):
         raise TypeError("decomposition requires analytic error model (oracle backend)")
-    shape = spec.shape
-    grid = grid_points(shape).reshape(-1, 3)
-    n_vox = len(grid)
     one_row = spec.family != "deform" and backend.error_model.mu_field is None
-    if one_row:
-        grid = grid[:1]
-    phi_pos = backend.true_transform.apply(grid)
-    intr = np.zeros((len(grid), 6), dtype=np.float64)
-    jitter = _Moments()
-    for m in range(spec.count):
-        tau = sample_perturbation(spec, m)
-        v, _ = backend.inverse_positions(tau, phi_pos)
-        jac = tau.jacobian(v)
-        sig = backend.error_model.cov(tau)
-        if np.any(sig):
-            js = jac @ sig
-            full = np.einsum("nik,njk->nij", js, jac)
-            for k, (i, j) in enumerate(_TRI):
-                intr[:, k] += full[:, i, j]
-        jitter.add(np.einsum("nij,nj->ni", jac, backend.error_model.mean(tau, grid)))
-    intr /= spec.count
-    jit = jitter.finalize(spec.count)[1]
-    if one_row:
-        intr, jit = np.repeat(intr, n_vox, axis=0), np.repeat(jit, n_vox, axis=0)
-    return CovDecomposition(
-        intrinsic=intr.reshape(shape + (6,)),
-        jitter=jit.reshape(shape + (6,)),
-    )
+    return CovDecomposition(backend.error_model, spec.shape, one_row)
+
+
+class _Linearization:
+    """The covariance of the first-order model J_tau(v) eps, as a reducer.
+
+    It sees each sample's tau, inversion v and noise stream (same seed and
+    nonce), so its difference from the estimate is the Taylor remainder alone:
+    common random numbers cancel the Monte-Carlo noise.
+    """
+
+    def __init__(self, model: ErrorModel, shape):
+        self.model, self.shape = model, tuple(shape)
+        self.grid = grid_points(shape).reshape(-1, 3)
+        self.moments = _Moments()
+        self.add = self.moments.add
+
+    def observe(self, n, tau, reg, x):
+        eps = self.model.sample(tau, self.grid, n)
+        return np.einsum("nij,nj->ni", tau.jacobian(reg.inverted_positions), eps)
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.moments.finalize(self.moments.n)[1].reshape(self.shape + (6,))
 
 
 @dataclass
@@ -309,28 +333,6 @@ def mc_relative_bound(n_samples: int) -> float:
     return float(2.5 / np.sqrt(n_samples))
 
 
-def _estimate_and_linearize(
-    backend: OracleBackend, source: Volume3, target: Volume3, spec: PerturbSpec
-) -> tuple[UncertaintyResult, np.ndarray]:
-    """The estimate and the covariance of the first-order model J_tau(v) eps.
-
-    One pass over the draws: each sample's tau, its inversion v =
-    tau^-1(phi(y)) and its noise stream (same seed and nonce) feed both
-    sides, so the difference between them is the Taylor remainder of the
-    linearization alone, with the Monte-Carlo sampling noise cancelled by
-    common random numbers.
-    """
-    grid = grid_points(target.shape).reshape(-1, 3)
-    lin = _Moments()
-
-    def linearize(n, tau, reg, x):
-        eps = backend.error_model.sample(tau, grid, n)
-        return np.einsum("nij,nj->ni", tau.jacobian(reg.inverted_positions), eps)
-
-    est = estimate_uncertainty(backend, source, target, spec, reducers=[(linearize, lin.add)])
-    return est, lin.finalize(spec.count)[1].reshape(target.shape + (6,))
-
-
 def verify_lemma(spec: PerturbSpec, model: ErrorModel, phi: Transform) -> LemmaCheckReport:
     """Run the estimator against its closed form on the draws of spec.
 
@@ -351,12 +353,10 @@ def verify_lemma(spec: PerturbSpec, model: ErrorModel, phi: Transform) -> LemmaC
     is_deform = spec.family == "deform"
     strength = spec.deform_strength
     backend = OracleBackend(phi, model, lenient_inversion=is_deform)
-    if is_deform:
-        est, closed = _estimate_and_linearize(backend, source, target, spec)
-    else:
-        est = estimate_uncertainty(backend, source, target, spec)
-        closed = decompose_cov(backend, spec).total
-    rel = relative_frobenius(est.cov, closed)
+    closed = _Linearization(model, shape) if is_deform else decompose_cov(backend, spec)
+    est = estimate_uncertainty(backend, source, target, spec,
+                               reducers=[(closed.observe, closed.add)])
+    rel = relative_frobenius(est.cov, closed.total)
     median = float(np.median(rel))
     central = float(rel[_central_box(shape)].max())
     mc = mc_relative_bound(spec.count)

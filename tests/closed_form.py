@@ -3,7 +3,8 @@
 closed_form_cov_affine is the closed-form covariance for affine
 perturbations at one point: criterion 3 checks the estimator against it at
 one voxel, and the uncertainty tests check it against a hand example and
-against decompose_cov.  tri_to_matrices unpacks the estimator's per-voxel
+against decompose_cov.  split_on_the_pass reduces decompose_cov's split in
+the estimator's pass on blank volumes.  tri_to_matrices unpacks the estimator's per-voxel
 covariance components for comparison with full matrices.  demons_reference
 is the demons loop written with a fresh array per step, which
 demons_register must equal bit for bit.
@@ -14,7 +15,17 @@ from scipy.ndimage import gaussian_filter
 
 from regcert.geometry import grid_points, trilinear_sample
 from regcert.register import ErrorModel
-from regcert.uncertainty import _TRI
+from regcert.uncertainty import _TRI, decompose_cov, estimate_uncertainty
+from regcert.volume import Volume3
+
+
+def split_on_the_pass(backend, spec, threads: int = 1):
+    """(estimate, decompose_cov's split), both from one pass on blank volumes."""
+    dec = decompose_cov(backend, spec)
+    blank = Volume3(np.zeros(spec.shape, dtype=np.float32))
+    est = estimate_uncertainty(backend, blank, blank, spec, threads=threads,
+                               reducers=[(dec.observe, dec.add)])
+    return est, dec
 
 
 def tri_to_matrices(tri: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from regcert.metrics import ErrorMap, mse_decomposition_check, risk_coverage
 from regcert.perturb import PERTURB_FAMILIES, PerturbSpec, sample_perturbation
 from regcert.register import ErrorModel, OracleBackend
 from regcert.uncertainty import (
-    decompose_cov,
     estimate_uncertainty,
     mc_relative_bound,
     relative_frobenius,
@@ -33,7 +32,7 @@ from regcert.uncertainty import (
 )
 from regcert.volume import RoiMask, Volume3
 
-from closed_form import closed_form_cov_affine, tri_to_matrices
+from closed_form import closed_form_cov_affine, split_on_the_pass, tri_to_matrices
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
 _TRI_ROWS = ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])
@@ -123,9 +122,7 @@ def _run_c3(threads=1):
     spec = PerturbSpec(
         family="scale", shape=shape, seed=3, count=2000, scale_range=(0.9, 1.1)
     )
-    backend = OracleBackend(PHI, model)
-    est = estimate_uncertainty(backend, _blank(shape), _blank(shape), spec, threads=threads)
-    dec = decompose_cov(backend, spec)
+    est, dec = split_on_the_pass(OracleBackend(PHI, model), spec, threads)
     # exact moments of s1*sbar for iid U(0.9,1.1) diagonal draws
     ed2 = 0.1**2 / 3.0
     ed4 = 0.1**4 / 5.0

@@ -335,6 +335,20 @@ def test_estimate_oracle_reads_its_mu_field_volume(tmp_path):
     assert echo["mu_field_path"] == str(tmp_path / "mu.rcv")
 
 
+def test_oracle_split_is_on_the_target_grid(tmp_path):
+    # Perturbations live on the source's shape, the estimate and its split on the target's.
+    out = tmp_path / "pair"
+    out.mkdir()
+    write_volume(out / "source.rcv", Volume3(np.zeros((10, 10, 10), dtype=np.float32)))
+    write_volume(out / "target.rcv", Volume3(np.zeros((12, 12, 12), dtype=np.float32)))
+    write_volume(out / "gt.rcv", Volume3(np.zeros((12, 12, 12, 3), dtype=np.float32)))
+    cfg = oracle_est_cfg(perturb={"family": "deform", "count": 3})
+    assert main(["estimate", "--config", write_cfg(tmp_path, "est.json", cfg),
+                 "--out", str(out)]) == 0
+    for name in ("cov.rcv", "intrinsic.rcv", "jitter.rcv"):
+        assert read_volume(out / name).shape == (12, 12, 12), name
+
+
 # ---------------------------------------------------------------------------
 # evaluate and the full pipeline
 
@@ -382,7 +396,9 @@ def test_pipeline_reruns_are_byte_identical_across_threads(tmp_path):
         assert main(["evaluate", "--config", ev, "--out", str(out)]) == 0
         outs.append(out)
     a, b = outs
-    for name in ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "error.rcv", "risk_coverage.csv"):
+    # The oracle's closed-form split is reduced in the threaded pass too.
+    for name in ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "intrinsic.rcv", "jitter.rcv",
+                 "error.rcv", "risk_coverage.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     assert json_without_wall_time(a / "estimate.json") != json_without_wall_time(b / "estimate.json")
     ja, jb = (json_without_wall_time(p / "estimate.json") for p in (a, b))

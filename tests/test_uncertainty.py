@@ -34,10 +34,10 @@ from regcert.uncertainty import (
     relative_frobenius,
     verify_lemma,
 )
-from regcert.uncertainty import _TRI, _estimate_and_linearize, _Moments
+from regcert.uncertainty import _TRI, _Linearization, _Moments
 from regcert.volume import Volume3, make_phantom, warp
 
-from closed_form import closed_form_cov_affine, tri_to_matrices
+from closed_form import closed_form_cov_affine, split_on_the_pass, tri_to_matrices
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
 
@@ -297,10 +297,10 @@ def test_decompose_requires_oracle():
 
 
 def _decompose_cov_per_voxel(backend, spec, m_samples):
-    """Reference: J built and contracted at every voxel, whatever tau is.
+    """Reference: each draw inverted again, J built and contracted at every voxel.
 
-    This is the loop decompose_cov runs for non-linear tau; for linear tau
-    it must give the same bits as the one-Jacobian path.
+    These are the sums decompose_cov's reducer takes for non-linear tau; for
+    linear tau its one-row path must give the same bits.
     """
     grid = grid_points(spec.shape).reshape(-1, 3)
     phi_pos = backend.true_transform.apply(grid)
@@ -337,7 +337,7 @@ def test_linear_decomposition_equals_per_voxel_reference(family, model_kind):
     shape = (7, 8, 9)
     spec = spec_for(family, shape, count=12)
     backend = OracleBackend(PHI, _reference_model(model_kind, shape))
-    dec = decompose_cov(backend, spec)
+    _, dec = split_on_the_pass(backend, spec)
     intr, jitter = _decompose_cov_per_voxel(backend, spec, 12)
     assert np.array_equal(dec.intrinsic, intr)
     assert np.array_equal(dec.jitter, jitter)
@@ -347,7 +347,7 @@ def test_deform_decomposition_equals_per_voxel_reference():
     shape = (7, 8, 9)
     spec = spec_for("deform", shape, count=6, deform_strength=0.02)
     backend = OracleBackend(PHI, _reference_model("mu-field", shape))
-    dec = decompose_cov(backend, spec)
+    _, dec = split_on_the_pass(backend, spec)
     intr, jitter = _decompose_cov_per_voxel(backend, spec, 6)
     assert np.array_equal(dec.intrinsic, intr)
     assert np.array_equal(dec.jitter, jitter)
@@ -361,23 +361,36 @@ def test_deform_decomposition_equals_per_voxel_reference():
 def test_decomposition_inverts_one_point_only_where_the_closed_form_is_uniform(
     monkeypatch, family, model_kind, points
 ):
+    """The split inverts nothing itself, and takes J and mu at one point where uniform."""
+    from regcert import geometry
+
     shape = (7, 8, 9)
-    sizes = []
-    inverse_positions = OracleBackend.inverse_positions
+    n_vox = 7 * 8 * 9
+    sizes = {"inverse": [], "jacobian": [], "mean": []}
 
-    def counting(self, tau, pts):
-        sizes.append(len(pts))
-        return inverse_positions(self, tau, pts)
+    def counting(key, fn):
+        def wrapped(self, *args):
+            sizes[key].append(len(args[-1]))
+            return fn(self, *args)
+        return wrapped
 
-    monkeypatch.setattr(OracleBackend, "inverse_positions", counting)
+    monkeypatch.setattr(OracleBackend, "inverse_positions",
+                        counting("inverse", OracleBackend.inverse_positions))
+    for cls in (geometry.TranslationTransform, geometry.AffineTransform,
+                geometry.BSplineTransform):
+        monkeypatch.setattr(cls, "jacobian", counting("jacobian", cls.jacobian))
+    monkeypatch.setattr(ErrorModel, "mean", counting("mean", ErrorModel.mean))
     if model_kind == "constant-mu":
         model = ErrorModel(mu=(0.5, 0.2, -0.1), sigma=_SIGMA)
     else:
         model = _reference_model(model_kind, shape)
-    backend = OracleBackend(PHI, model)
     kw = {"deform_strength": 0.02} if family == "deform" else {}
-    dec = decompose_cov(backend, spec_for(family, shape, count=5, **kw))
-    assert sizes == [points] * 5
+    _, dec = split_on_the_pass(OracleBackend(PHI, model), spec_for(family, shape, count=5, **kw))
+    # The oracle's own inversion of each draw is the only one.
+    assert sizes["inverse"] == [n_vox] * 5
+    # Per draw the oracle's noise takes mu on the grid, then the split takes J and mu.
+    assert sizes["jacobian"] == [points] * 5
+    assert sizes["mean"] == [n_vox, points] * 5
     assert dec.intrinsic.shape == dec.jitter.shape == shape + (6,)
     assert dec.intrinsic.flags.writeable and dec.jitter.flags.writeable
 
@@ -399,10 +412,8 @@ def test_decomposition_terms_are_psd(family, seed, rank, mu_field, mu_scale, sig
     model = ErrorModel(sigma=factor @ factor.T, mu_scale=mu_scale, sigma_scale=sigma_scale,
                        seed=seed, **mean)
     spec = PerturbSpec(family=family, shape=shape, seed=seed, count=8)
-    backend = OracleBackend(PHI, model)
-    dec = decompose_cov(backend, spec)
     # The estimator's own covariance on the same draws is held to the same bound.
-    est = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
+    est, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
     for term in (dec.intrinsic, dec.jitter, est.cov):
         w = np.linalg.eigvalsh(tri_to_matrices(term).reshape(-1, 3, 3))
         assert w.min() >= -1e-12 * max(1.0, float(np.abs(w).max()))
@@ -413,7 +424,7 @@ def test_translation_intrinsic_is_model_covariance():
     # and a constant mu contributes no jitter at all.
     sigma = np.diag([0.04, 0.09, 0.16])
     backend = OracleBackend(PHI, ErrorModel(mu=(1.0, 0.0, 0.0), sigma=sigma))
-    dec = decompose_cov(backend, spec_for("translation", (6, 6, 6), count=12))
+    _, dec = split_on_the_pass(backend, spec_for("translation", (6, 6, 6), count=12))
     want = np.array([0.04, 0.0, 0.0, 0.09, 0.0, 0.16])
     assert np.max(np.abs(dec.intrinsic - want)) < 1e-15
     assert np.array_equal(dec.jitter, np.zeros((6, 6, 6, 6)))
@@ -423,8 +434,7 @@ def test_scaled_mean_jitter_matches_hand_computation():
     shape = (6, 6, 6)
     spec = spec_for("translation", shape, count=30)
     model = ErrorModel(mu=(1.0, 0.0, 0.0), sigma=0.0, mu_scale="offset_norm")
-    backend = OracleBackend(PHI, model)
-    dec = decompose_cov(backend, spec)
+    _, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
     norms = np.array([
         np.linalg.norm(sample_perturbation(spec, m).offset) for m in range(30)
     ])
@@ -441,9 +451,7 @@ def test_estimator_matches_decomposition_without_noise():
     shape = (8, 8, 8)
     spec = spec_for("scale", shape, count=25)
     model = ErrorModel(mu=(1.0, 0.0, 0.0), sigma=0.0, mu_scale="mean_diag")
-    backend = OracleBackend(PHI, model)
-    est = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
-    dec = decompose_cov(backend, spec)
+    est, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
     assert np.array_equal(dec.intrinsic, np.zeros(shape + (6,)))
     assert np.max(np.abs(est.cov - dec.total)) < 1e-12
 
@@ -465,14 +473,21 @@ def test_closed_form_matches_decomposition_at_a_voxel():
     shape = (8, 8, 8)
     spec = spec_for("affine", shape, count=15)
     model = ErrorModel(mu=(0.5, 0.2, 0.0), sigma=0.3)
-    backend = OracleBackend(PHI, model)
-    dec = decompose_cov(backend, spec)
+    _, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
     samples = [sample_perturbation(spec, m) for m in range(15)]
     y = (6.0, 6.0, 6.0)
     intr, jit = closed_form_cov_affine(samples, model, y)
     vox = (6, 6, 6)
     assert np.max(np.abs(tri_to_matrices(dec.intrinsic[vox]) - intr)) < 1e-12
     assert np.max(np.abs(tri_to_matrices(dec.jitter[vox]) - jit)) < 1e-12
+
+
+def _linearized(backend, spec):
+    """(estimate, the linearization reducer's covariance) from one pass on blank volumes."""
+    lin = _Linearization(backend.error_model, spec.shape)
+    est = estimate_uncertainty(backend, blank(spec.shape), blank(spec.shape), spec,
+                               reducers=[(lin.observe, lin.add)])
+    return est, lin.total
 
 
 def test_linearized_model_is_exact_for_translations():
@@ -482,7 +497,7 @@ def test_linearized_model_is_exact_for_translations():
     shape = (6, 6, 6)
     spec = spec_for("translation", shape, count=40)
     backend = OracleBackend(PHI, ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7))
-    est, lin = _estimate_and_linearize(backend, blank(shape), blank(shape), spec)
+    est, lin = _linearized(backend, spec)
     assert est.max_inversion_residual == 0.0
     assert np.max(np.abs(est.cov - lin)) < 1e-12
 
@@ -509,7 +524,7 @@ def test_one_pass_linearization_is_bitwise_the_two_pass_one(strength):
     spec = spec_for("deform", shape, count=20, deform_strength=strength)
     model = ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7)
     backend = OracleBackend(PHI, model, lenient_inversion=True)
-    est, lin = _estimate_and_linearize(backend, blank(shape), blank(shape), spec)
+    est, lin = _linearized(backend, spec)
     ref, ref_residual = _linearized_cov_two_pass(
         OracleBackend(PHI, model, lenient_inversion=True), spec
     )
@@ -589,7 +604,8 @@ def test_threaded_failure_leaves_no_worker_running(where):
     assert threading.active_count() == before
 
 
-def test_deform_lemma_draws_and_inverts_each_perturbation_once(monkeypatch):
+def _count_draws_and_inversions(monkeypatch) -> dict:
+    """Calls of sample_perturbation, inverse_positions and invert_at from here on."""
     from regcert import geometry, perturb, register
 
     calls = {"sample": 0, "inverse": 0, "invert_at": 0}
@@ -608,11 +624,41 @@ def test_deform_lemma_draws_and_inverts_each_perturbation_once(monkeypatch):
         monkeypatch.setattr(module, "invert_at", invert_at)
     monkeypatch.setattr(OracleBackend, "inverse_positions",
                         counting("inverse", OracleBackend.inverse_positions))
+    return calls
+
+
+def test_deform_lemma_draws_and_inverts_each_perturbation_once(monkeypatch):
+    calls = _count_draws_and_inversions(monkeypatch)
     k = 7
     rep = verify_lemma(spec_for("deform", count=k, deform_strength=0.08),
                        ErrorModel(sigma=0.2, seed=7), PHI)
     assert rep.passed
     assert calls == {"sample": k, "inverse": k, "invert_at": k}
+
+
+@pytest.mark.parametrize("family", ["translation", "affine"])
+def test_linear_lemma_draws_and_inverts_each_perturbation_once(monkeypatch, family):
+    calls = _count_draws_and_inversions(monkeypatch)
+    k = 7
+    rep = verify_lemma(spec_for(family, count=k), ErrorModel(mu=(0.5, 0.0, 0.0), sigma=0.5), PHI)
+    assert rep.passed
+    assert calls == {"sample": k, "inverse": k, "invert_at": 0}
+
+
+def test_oracle_estimate_draws_and_inverts_each_perturbation_once(monkeypatch, tmp_path):
+    from regcert.cli import main
+
+    k = 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"shape": [16, 16, 16], "perturb": {"family": "deform", "count": k},
+                               "backend": {"kind": "oracle", "error_model": {"sigma": 0.2}}}))
+    out = str(tmp_path / "out")
+    assert main(["simulate-pair", "--config", str(cfg), "--out", out]) == 0
+    calls = _count_draws_and_inversions(monkeypatch)
+    assert main(["estimate", "--config", str(cfg), "--out", out]) == 0
+    # The closed-form split rides the estimator's pass: no draw is taken twice.
+    assert calls == {"sample": k, "inverse": k, "invert_at": k}
+    assert (tmp_path / "out" / "intrinsic.rcv").is_file()
 
 
 # ---------------------------------------------------------------------------
