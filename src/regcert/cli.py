@@ -261,13 +261,21 @@ def _error_model(sec, seed: int, what: str) -> ErrorModel:
                          _MODEL_KEYS)
 
 
+def _on_grid(model: ErrorModel, shape) -> ErrorModel:
+    """model; its mu_field must lie on the grid shape, where the oracle samples it."""
+    if model.mu_field is not None and model.mu_field.shape[:3] != shape:
+        raise ConfigError(f"'mu_field_path' is on a {model.mu_field.shape[:3]} grid, not {shape}")
+    return model
+
+
 def _backends(out_dir: Path, seed: int) -> dict:
     """The backend kinds; a builder's parameters are the keys of its section."""
 
     def oracle(error_model={}):
-        # The error model is read before the simulated ground truth.
+        # The error model is read before the simulated ground truth, whose grid it must share.
         model = _error_model(error_model, seed, "config section 'error_model'")
-        return OracleBackend(DenseTransform(_volume_data(out_dir / "gt.rcv", 3)), model)
+        gt = DenseTransform(_volume_data(out_dir / "gt.rcv", 3))
+        return OracleBackend(gt, _on_grid(model, gt.shape))
 
     return {"affine_ssd": AffineSsdBackend, "demons": DemonsBackend, "oracle": oracle}
 
@@ -448,13 +456,13 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
         entry = {"n_mc": n_mc, "seed": seed, **chk}
         model = entry.pop("model", {"mu": [0.5, 0.0, 0.0], "sigma": 0.5})
         spec = _from_section(PerturbSpec, entry, "lemma check", _CHECK_KEYS, shape=grid)
-        runs.append((spec, _error_model(model, seed, "lemma check 'model'")))
+        runs.append((spec, _on_grid(_error_model(model, seed, "lemma check 'model'"), grid)))
     cases = []
     for case in _objects(sec.get("mse", []), "lemma mse case"):
         entry = dict(case)
         model = entry.pop("model", {})
         draws = _from_section(_mse_draws, entry, "lemma mse case")
-        cases.append((_error_model(model, seed, "mse case 'model'"), draws))
+        cases.append((_on_grid(_error_model(model, seed, "mse case 'model'"), grid), draws))
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     all_ok = True

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import DenseTransform, Transform, TranslationTransform, grid_points
+from .geometry import DenseTransform, Transform, TranslationTransform, _frozen, grid_points
 from .register import OracleBackend
 from .volume import RoiMask, Volume3
 
@@ -40,11 +40,9 @@ class ErrorMap:
     mask: RoiMask
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _frozen(self.values)
         if v.shape != self.mask.shape:
             raise ValueError(f"error shape {v.shape} does not match mask {self.mask.shape}")
-        v = v.copy()
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property

@@ -121,6 +121,13 @@ def _draw_shear_matrix(rng, shear_max) -> np.ndarray:
     return m
 
 
+def _draw_affine(rng, shape, spec) -> AffineTransform:
+    """Translation, then shear, then scale, composed about the center of shape."""
+    t = _draw_translation(rng, shape, spec.translation_fraction)
+    a = _draw_shear_matrix(rng, spec.shear_max) @ _draw_scale_matrix(rng, spec.scale_range)
+    return AffineTransform.center_fixed(a, _center(shape), extra_offset=t)
+
+
 def _draw_bspline(rng, shape, spacing, node_max, strength) -> BSplineTransform:
     control_shape = bspline_control_shape(shape, spacing) + (3,)
     nodes = rng.uniform(-node_max, node_max, size=control_shape) * strength
@@ -140,9 +147,7 @@ def sample_perturbation(spec: PerturbSpec, n: int) -> Transform:
     if spec.family == "shear":
         return AffineTransform.center_fixed(_draw_shear_matrix(rng, spec.shear_max), c)
     if spec.family == "affine":
-        t = _draw_translation(rng, spec.shape, spec.translation_fraction)
-        a = _draw_shear_matrix(rng, spec.shear_max) @ _draw_scale_matrix(rng, spec.scale_range)
-        return AffineTransform.center_fixed(a, c, extra_offset=t)
+        return _draw_affine(rng, spec.shape, spec)
     return _draw_bspline(
         rng, spec.shape, spec.grid_spacing, spec.node_max, spec.deform_strength
     )
@@ -245,19 +250,12 @@ def simulate_gt_with_info(spec: GtSpec, shape) -> tuple[Transform, dict]:
     """Draw a ground-truth transform plus metadata describing how it was built."""
     shape = _check_shape(shape)
     rng = np.random.default_rng([spec.seed, _TAG_GT])
-    c = _center(shape)
     if spec.kind == "translation":
         t = _draw_translation(rng, shape, spec.translation_fraction)
         return TranslationTransform(t), {"kind": "translation", "offset": t.tolist()}
     if spec.kind == "affine":
-        t = _draw_translation(rng, shape, spec.translation_fraction)
-        a = _draw_shear_matrix(rng, spec.shear_max) @ _draw_scale_matrix(rng, spec.scale_range)
-        tr = AffineTransform.center_fixed(a, c, extra_offset=t)
-        return tr, {
-            "kind": "affine",
-            "matrix": tr.matrix.tolist(),
-            "offset": tr.offset.tolist(),
-        }
+        tr = _draw_affine(rng, shape, spec)
+        return tr, {"kind": "affine", "matrix": tr.matrix.tolist(), "offset": tr.offset.tolist()}
     if spec.kind == "deform2":
         return _simulate_deform2(spec, shape)
     return _simulate_solver_real(spec, shape)

@@ -19,6 +19,7 @@ from .geometry import (
     DenseTransform,
     Transform,
     TranslationTransform,
+    _frozen,
     grid_points,
     invert,
     invert_at,
@@ -87,17 +88,13 @@ class ErrorModel:
                 raise ValueError("mu_field must have shape (nx, ny, nz, 3)")
             if not np.all(np.isfinite(fld)):
                 raise ValueError("mu_field must be finite")
-            fld = fld.copy()
-            fld.flags.writeable = False
-            self.mu_field = fld
+            self.mu_field = _frozen(fld)
             self.mu = None
         else:
             v = np.asarray(mu, dtype=np.float64)
             if v.shape != (3,) or not np.all(np.isfinite(v)):
                 raise ValueError("mu must be a finite 3-vector")
-            v = v.copy()
-            v.flags.writeable = False
-            self.mu = v
+            self.mu = _frozen(v)
             self.mu_field = None
         s = np.asarray(sigma, dtype=np.float64)
         if s.ndim == 0:
@@ -111,9 +108,7 @@ class ErrorModel:
         w, v = np.linalg.eigh(s)
         if w.min() < -1e-12 * max(w.max(), 1.0):
             raise ValueError("sigma must be positive semidefinite")
-        s = s.copy()
-        s.flags.writeable = False
-        self.sigma = s
+        self.sigma = _frozen(s)
         # A factor F with F F^T = Sigma, valid for singular Sigma too.
         self._factor = v * np.sqrt(np.clip(w, 0.0, None))
         for name in (mu_scale, sigma_scale):
@@ -171,9 +166,9 @@ class Registration:
     grid.  log holds one row per solver iteration, log_header names its
     columns, and iterations (the log's length), final_ssd and diverged say
     how the solver ended (a backend without a solver keeps the defaults).
-    The oracle also returns inverted_positions, tau^-1(phi(y)) at the
-    target's voxels as a read-only (V, 3) array, and the round-trip residual
-    of that inversion (inversion_residual, 0.0 where no inversion ran).
+    The oracle also returns inverted_positions v = tau^-1(phi(y)) and the
+    noise eps it drew, read-only (V, 3) arrays at the target's voxels, and
+    the inversion's round-trip residual (0.0 where no inversion ran).
     """
 
     transform: Transform
@@ -182,6 +177,7 @@ class Registration:
     final_ssd: float | None = None
     diverged: bool = False
     inverted_positions: np.ndarray | None = field(repr=False, compare=False, default=None)
+    noise: np.ndarray | None = field(repr=False, compare=False, default=None)
     inversion_residual: float = 0.0
 
     @property
@@ -247,6 +243,9 @@ class OracleBackend(RegistrationBackend):
 
     def register(self, source, target, perturbation=None, nonce=0):
         shape = target.shape
+        fld = self.error_model.mu_field
+        if fld is not None and fld.shape[:3] != shape:
+            raise ValueError(f"mu_field is on a {fld.shape[:3]} grid, the target on {shape}")
         grid = grid_points(shape).reshape(-1, 3)
         phi_pos = self.true_transform.apply(grid)
         if perturbation is None:
@@ -255,10 +254,10 @@ class OracleBackend(RegistrationBackend):
         else:
             positions, residual = self.inverse_positions(perturbation, phi_pos)
             tau_eff = perturbation
-        positions.flags.writeable = False
         eps = self.error_model.sample(tau_eff, grid, nonce)
+        positions.flags.writeable = eps.flags.writeable = False
         return Registration(DenseTransform((positions + eps - grid).reshape(shape + (3,))),
-                            inverted_positions=positions, inversion_residual=residual)
+                            inverted_positions=positions, noise=eps, inversion_residual=residual)
 
 
 def _gaussian(arr: np.ndarray, sigma: float, step: int = 1,

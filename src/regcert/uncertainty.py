@@ -267,20 +267,17 @@ def decompose_cov(backend: OracleBackend, spec: PerturbSpec) -> CovDecomposition
 class _Linearization:
     """The covariance of the first-order model J_tau(v) eps, as a reducer.
 
-    It sees each sample's tau, inversion v and noise stream (same seed and
-    nonce), so its difference from the estimate is the Taylor remainder alone:
-    common random numbers cancel the Monte-Carlo noise.
+    It reads each sample's tau and the oracle's inversion v and noise eps, so
+    its difference from the estimate is the Taylor remainder alone: common
+    random numbers cancel the Monte-Carlo noise.
     """
 
-    def __init__(self, model: ErrorModel, shape):
-        self.model, self.shape = model, tuple(shape)
-        self.grid = grid_points(shape).reshape(-1, 3)
-        self.moments = _Moments()
+    def __init__(self, shape):
+        self.shape, self.moments = tuple(shape), _Moments()
         self.add = self.moments.add
 
     def observe(self, n, tau, reg, x):
-        eps = self.model.sample(tau, self.grid, n)
-        return np.einsum("nij,nj->ni", tau.jacobian(reg.inverted_positions), eps)
+        return np.einsum("nij,nj->ni", tau.jacobian(reg.inverted_positions), reg.noise)
 
     @property
     def total(self) -> np.ndarray:
@@ -353,7 +350,7 @@ def verify_lemma(spec: PerturbSpec, model: ErrorModel, phi: Transform) -> LemmaC
     is_deform = spec.family == "deform"
     strength = spec.deform_strength
     backend = OracleBackend(phi, model, lenient_inversion=is_deform)
-    closed = _Linearization(model, shape) if is_deform else decompose_cov(backend, spec)
+    closed = _Linearization(shape) if is_deform else decompose_cov(backend, spec)
     est = estimate_uncertainty(backend, source, target, spec,
                                reducers=[(closed.observe, closed.add)])
     rel = relative_frobenius(est.cov, closed.total)

@@ -913,22 +913,52 @@ def test_integer_path_leaves_the_callers_files_open(tmp_path, capsys, key):
     assert (tmp_path / "held.txt").read_text(encoding="utf-8") == "still open"
 
 
-@pytest.mark.parametrize("key, channels", [("mask_path", 3), ("mu_field_path", 1)])
-def test_config_volume_with_wrong_channels_exits_one(tmp_path, capsys, key, channels):
+@pytest.mark.parametrize(
+    "key, shape",
+    [("mask_path", (16, 16, 16, 3)), ("mu_field_path", (16, 16, 16, 1)),
+     # A mu_field on another grid than the pair's would be sampled with clamped edges.
+     ("mu_field_path", (4, 4, 4, 3))],
+    ids=["mask_path-3", "mu_field_path-1", "mu_field_path-grid"],
+)
+def test_config_volume_with_wrong_channels_exits_one(tmp_path, capsys, key, shape):
     out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
     est = oracle_est_cfg(count=4)
     assert main(["estimate", "--config", write_cfg(tmp_path, "est.json", est),
                  "--out", str(out)]) == 0
     path = tmp_path / "volume.rcv"
-    write_volume(path, Volume3(np.ones((16, 16, 16, channels), dtype=np.float32)))
+    write_volume(path, Volume3(np.ones(shape, dtype=np.float32)))
     if key == "mask_path":
         command, cfg = "evaluate", {"evaluate": {"mask_path": str(path)}}
     else:
         model = {"mu_field_path": str(path)}
         command, cfg = "estimate", {**est, "backend": {"kind": "oracle", "error_model": model}}
+    before = (out / "u.rcv").read_bytes()
     rc = main([command, "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("config error")
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert key == "mask_path" or "'mu_field_path'" in err
+    assert (out / "u.rcv").read_bytes() == before
+
+
+@pytest.mark.parametrize("where", ["checks", "mse"])
+def test_lemma_mu_field_on_another_grid_exits_one(tmp_path, capsys, where):
+    path = tmp_path / "mu.rcv"
+    write_volume(path, Volume3(np.zeros((16, 16, 16, 3), dtype=np.float32)))
+    model = {"mu_field_path": str(path), "sigma": 0.1}
+    lemma = {"grid": [8, 8, 8], "n_mc": 4, "checks": [{"kind": "translation"}]}
+    if where == "checks":
+        lemma["checks"].append({"kind": "translation", "model": model})
+    else:
+        lemma["mse"] = [{"model": model, "draws": 2}]
+    out = tmp_path / "o"
+    rc = main(["lemma-check", "--config", write_cfg(tmp_path, "lemma.json", {"lemma": lemma}),
+               "--out", str(out)])
+    assert rc == 1
+    printed = capsys.readouterr()
+    assert printed.err.startswith("config error") and "'mu_field_path'" in printed.err
+    # Rejected at config read: no check ran and no directory was made.
+    assert "[lemma-check]" not in printed.out and not out.exists()
 
 
 def test_negative_seed_flag_exits_one(tmp_path, capsys):

@@ -24,6 +24,8 @@ from regcert.perturb import (
     PERTURB_FAMILIES,
     GtSpec,
     PerturbSpec,
+    _TAG_GT,
+    _TAG_PERTURB,
     _deform2_attempt,
     sample_perturbation,
     simulate_gt_with_info,
@@ -35,6 +37,23 @@ CENTER = np.array([9.5, 9.5, 9.5])
 
 def spec_for(family, **kw):
     return PerturbSpec(family=family, shape=SHAPE, seed=0, count=1000, **kw)
+
+
+def hand_affine(stream, shape, spec):
+    """The affine draw written out: translation, then 6 shears, then 3 scales, about the center."""
+    rng = np.random.default_rng(stream)
+    bound = spec.translation_fraction * np.asarray(shape, dtype=np.float64)
+    t = rng.uniform(-bound, bound)
+    shear = np.eye(3)
+    shear[~np.eye(3, dtype=bool)] = rng.uniform(-spec.shear_max, spec.shear_max, size=6)
+    a = shear @ np.diag(rng.uniform(*spec.scale_range, size=3))
+    c = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
+    return a, c - a @ c + t
+
+
+def assert_is_hand_affine(t, stream, shape, spec):
+    a, b = hand_affine(stream, shape, spec)
+    assert t.matrix.tobytes() == a.tobytes() and t.offset.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +114,7 @@ def test_affine_draws_compose_shear_scale_translation():
     for n in range(200):
         t = sample_perturbation(spec, n)
         assert isinstance(t, AffineTransform)
+        assert_is_hand_affine(t, [spec.seed, _TAG_PERTURB, n], SHAPE, spec)
         # Row i scaled by the diagonal of the scale factor; shear bounded.
         s = np.diag(t.matrix)
         assert np.all((s >= 0.9 - 1e-12) & (s <= 1.1 + 1e-12))
@@ -167,7 +187,10 @@ def test_translation_gt_range_and_metadata():
 
 
 def test_affine_gt_metadata_reproduces_transform():
-    gt, info = simulate_gt_with_info(GtSpec("affine", seed=4), (32, 32, 32))
+    spec = GtSpec("affine", seed=4)
+    gt, info = simulate_gt_with_info(spec, (32, 32, 32))
+    # The same draw order as the perturbation family, from the ground-truth stream.
+    assert_is_hand_affine(gt, [4, _TAG_GT], (32, 32, 32), spec)
     rebuilt = AffineTransform(info["matrix"], info["offset"])
     g = grid_points((8, 8, 8)).reshape(-1, 3)
     assert np.array_equal(gt.apply(g), rebuilt.apply(g))

@@ -194,7 +194,8 @@ def test_oracle_returns_its_inversion_read_only():
     model = ErrorModel(mu=(0.2, 0.0, 0.1), sigma=0.3, seed=5)
     backend = OracleBackend(PHI, model, lenient_inversion=True)
     shape = (6, 6, 6)
-    phi_pos = PHI.apply(grid_points(shape).reshape(-1, 3))
+    grid = grid_points(shape).reshape(-1, 3)
+    phi_pos = PHI.apply(grid)
     tau = sample_perturbation(PerturbSpec(family="deform", shape=shape, seed=1, count=3), 2)
     reg = backend.register(blank(shape), blank(shape), perturbation=tau, nonce=2)
     want, residual = backend.inverse_positions(tau, phi_pos)
@@ -203,9 +204,23 @@ def test_oracle_returns_its_inversion_read_only():
     unperturbed = backend.register(blank(shape), blank(shape))
     assert unperturbed.inverted_positions.tobytes() == phi_pos.tobytes()
     assert unperturbed.inversion_residual == 0.0
-    for arr in (reg.inverted_positions, unperturbed.inverted_positions):
+    # The noise is the draw of stream (seed, nonce) at tau (the zero shift
+    # without a perturbation), and the transform is v + eps - y.
+    for r, tau_eff, nonce in ((reg, tau, 2), (unperturbed, TranslationTransform((0, 0, 0)), 0)):
+        assert r.noise.tobytes() == model.sample(tau_eff, grid, nonce).tobytes()
+        moved = (r.inverted_positions + r.noise - grid).reshape(shape + (3,))
+        assert r.transform.displacement.tobytes() == moved.tobytes()
+    for arr in (reg.inverted_positions, unperturbed.inverted_positions, reg.noise,
+                unperturbed.noise):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+def test_oracle_rejects_a_mu_field_on_another_grid():
+    backend = OracleBackend(PHI, ErrorModel(mu_field=np.zeros((4, 4, 4, 3))))
+    assert backend.register(blank((4, 4, 4)), blank((4, 4, 4))).noise.shape == (64, 3)
+    with pytest.raises(ValueError, match=r"mu_field is on a \(4, 4, 4\) grid"):
+        backend.register(blank((6, 6, 6)), blank((6, 6, 6)))
 
 
 def test_oracle_noise_variance_matches_model():
@@ -551,7 +566,7 @@ def test_registration_carries_the_solver_log():
     assert reg.log_header == ("iteration", "ssd")
     assert reg.iterations == 5 == len(reg.log)
     assert isinstance(reg.final_ssd, float) and reg.diverged is False
-    assert (reg.inverted_positions, reg.inversion_residual) == (None, 0.0)
+    assert (reg.inverted_positions, reg.noise, reg.inversion_residual) == (None, None, 0.0)
     reg = OracleBackend(PHI, ErrorModel()).register(blank((6, 6, 6)), blank((6, 6, 6)))
     assert reg.log == () and reg.log_header == ()
     assert (reg.iterations, reg.final_ssd, reg.diverged) == (0, None, False)

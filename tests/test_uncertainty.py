@@ -484,7 +484,7 @@ def test_closed_form_matches_decomposition_at_a_voxel():
 
 def _linearized(backend, spec):
     """(estimate, the linearization reducer's covariance) from one pass on blank volumes."""
-    lin = _Linearization(backend.error_model, spec.shape)
+    lin = _Linearization(spec.shape)
     est = estimate_uncertainty(backend, blank(spec.shape), blank(spec.shape), spec,
                                reducers=[(lin.observe, lin.add)])
     return est, lin.total
@@ -605,10 +605,11 @@ def test_threaded_failure_leaves_no_worker_running(where):
 
 
 def _count_draws_and_inversions(monkeypatch) -> dict:
-    """Calls of sample_perturbation, inverse_positions and invert_at from here on."""
+    """Calls of sample_perturbation, ErrorModel.sample, inverse_positions and
+    invert_at from here on."""
     from regcert import geometry, perturb, register
 
-    calls = {"sample": 0, "inverse": 0, "invert_at": 0}
+    calls = {"sample": 0, "noise": 0, "inverse": 0, "invert_at": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -624,6 +625,7 @@ def _count_draws_and_inversions(monkeypatch) -> dict:
         monkeypatch.setattr(module, "invert_at", invert_at)
     monkeypatch.setattr(OracleBackend, "inverse_positions",
                         counting("inverse", OracleBackend.inverse_positions))
+    monkeypatch.setattr(ErrorModel, "sample", counting("noise", ErrorModel.sample))
     return calls
 
 
@@ -633,7 +635,8 @@ def test_deform_lemma_draws_and_inverts_each_perturbation_once(monkeypatch):
     rep = verify_lemma(spec_for("deform", count=k, deform_strength=0.08),
                        ErrorModel(sigma=0.2, seed=7), PHI)
     assert rep.passed
-    assert calls == {"sample": k, "inverse": k, "invert_at": k}
+    # The linearization reads the noise the oracle drew instead of drawing it again.
+    assert calls == {"sample": k, "noise": k, "inverse": k, "invert_at": k}
 
 
 @pytest.mark.parametrize("family", ["translation", "affine"])
@@ -642,7 +645,7 @@ def test_linear_lemma_draws_and_inverts_each_perturbation_once(monkeypatch, fami
     k = 7
     rep = verify_lemma(spec_for(family, count=k), ErrorModel(mu=(0.5, 0.0, 0.0), sigma=0.5), PHI)
     assert rep.passed
-    assert calls == {"sample": k, "inverse": k, "invert_at": 0}
+    assert calls == {"sample": k, "noise": k, "inverse": k, "invert_at": 0}
 
 
 def test_oracle_estimate_draws_and_inverts_each_perturbation_once(monkeypatch, tmp_path):
@@ -657,7 +660,8 @@ def test_oracle_estimate_draws_and_inverts_each_perturbation_once(monkeypatch, t
     calls = _count_draws_and_inversions(monkeypatch)
     assert main(["estimate", "--config", str(cfg), "--out", out]) == 0
     # The closed-form split rides the estimator's pass: no draw is taken twice.
-    assert calls == {"sample": k, "inverse": k, "invert_at": k}
+    # The unperturbed prediction draws the one extra noise.
+    assert calls == {"sample": k, "noise": k + 1, "inverse": k, "invert_at": k}
     assert (tmp_path / "out" / "intrinsic.rcv").is_file()
 
 
