@@ -42,7 +42,6 @@ from .register import (
 from .uncertainty import (
     CovDecomposition,
     LemmaCheckReport,
-    UncertaintyResult,
     decompose_cov,
     estimate_uncertainty,
     verify_lemma,

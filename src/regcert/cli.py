@@ -42,7 +42,7 @@ from .geometry import (
 )
 from .metrics import bin_curve, error_map, mse_decomposition_check, pearson, risk_coverage, spearman
 from .perturb import GtSpec, PerturbSpec, simulate_gt_with_info
-from .register import AffineSsdBackend, DemonsBackend, ErrorModel, OracleBackend
+from .register import LINEAR_TAU_SCALES, AffineSsdBackend, DemonsBackend, ErrorModel, OracleBackend
 from .uncertainty import MAX_THREADS, decompose_cov, estimate_uncertainty, verify_lemma
 from .volume import (
     RoiMask,
@@ -255,10 +255,14 @@ _PHIS = {
 _ANY_SHAPE = (2, 2, 2)
 
 
-def _error_model(sec, seed: int, what: str) -> ErrorModel:
-    """The ErrorModel of a config section; its seed defaults to the run's."""
-    return _from_section(ErrorModel, {"seed": seed, **_object(sec, what)}, "error_model",
-                         _MODEL_KEYS)
+def _error_model(sec, seed: int, what: str, family=None) -> ErrorModel:
+    """The ErrorModel of a config section for draws of family; its seed defaults to the run's."""
+    model = _from_section(ErrorModel, {"seed": seed, **_object(sec, what)}, "error_model",
+                          _MODEL_KEYS)
+    for key in ("mu_scale", "sigma_scale"):
+        if family == "deform" and (name := getattr(model, key)) in LINEAR_TAU_SCALES:
+            raise ConfigError(f"{key!r} {name!r} takes linear perturbations only, not 'deform'")
+    return model
 
 
 def _on_grid(model: ErrorModel, shape) -> ErrorModel:
@@ -268,12 +272,12 @@ def _on_grid(model: ErrorModel, shape) -> ErrorModel:
     return model
 
 
-def _backends(out_dir: Path, seed: int) -> dict:
-    """The backend kinds; a builder's parameters are the keys of its section."""
+def _backends(out_dir: Path, seed: int, family: str) -> dict:
+    """The backend kinds for draws of family; each kind's parameters are the keys of its section."""
 
     def oracle(error_model={}):
         # The error model is read before the simulated ground truth, whose grid it must share.
-        model = _error_model(error_model, seed, "config section 'error_model'")
+        model = _error_model(error_model, seed, "config section 'error_model'", family)
         gt = DenseTransform(_volume_data(out_dir / "gt.rcv", 3))
         return OracleBackend(gt, _on_grid(model, gt.shape))
 
@@ -365,42 +369,30 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
     perturb_sec = {"family": "translation", "seed": seed, **_section(cfg, "perturb")}
     spec = _from_section(PerturbSpec, perturb_sec, "perturb", shape=_ANY_SHAPE)
     backend_sec = {"kind": "affine_ssd", **_section(cfg, "backend")}
-    backend = _of_kind(_backends(out_dir, seed), backend_sec, "backend")
+    backend = _of_kind(_backends(out_dir, seed, spec.family), backend_sec, "backend")
     source = read_volume(out_dir / "source.rcv")
     target = read_volume(out_dir / "target.rcv")
     spec = replace(spec, shape=source.shape)
     # The oracle's closed-form split rides the estimator's pass, on the target's grid.
     oracle = isinstance(backend, OracleBackend)
-    closed = decompose_cov(backend, replace(spec, shape=target.shape)) if oracle else None
-    result = estimate_uncertainty(backend, source, target, spec, unbiased=unbiased, threads=threads,
-                                  reducers=[(closed.observe, closed.add)] if closed else [])
+    reducers = [decompose_cov(backend, replace(spec, shape=target.shape))] if oracle else []
+    report = estimate_uncertainty(backend, source, target, spec, unbiased=unbiased,
+                                  threads=threads, reducers=reducers)
     pred = backend.register(source, target)
-    write_volume(out_dir / "u.rcv", result.uncertainty)
-    write_volume(out_dir / "cov.rcv", _on_grid_of(target, result.cov))
-    write_volume(out_dir / "mean.rcv", _on_grid_of(target, result.mean.displacement))
-    pred_field = dense(pred.transform, target.shape).displacement
-    write_volume(out_dir / "pred.rcv", _on_grid_of(target, pred_field))
-    if closed:
-        write_volume(out_dir / "intrinsic.rcv", _on_grid_of(target, closed.intrinsic))
-        write_volume(out_dir / "jitter.rcv", _on_grid_of(target, closed.jitter))
+    report.update(pred=dense(pred.transform, target.shape).displacement,
+                  backend={**backend_sec, "seed": seed}, perturb_spec=asdict(spec),
+                  unbiased=unbiased, seed=seed, threads=threads)
+    # Every map is a volume on the target's grid, and the rest is metadata.
+    meta = {}
+    for name, value in report.items():
+        if isinstance(value, np.ndarray):
+            write_volume(out_dir / f"{name}.rcv", _on_grid_of(target, value))
+        else:
+            meta[name] = value
     if pred.log:
         _write_csv(out_dir / "solver_log.csv", pred.log_header, pred.log)
-    _write_json(
-        out_dir / "estimate.json",
-        {
-            "backend": {**backend_sec, "seed": seed},
-            "perturb_spec": asdict(spec),
-            "n_samples": result.n_samples,
-            "n_clamped": result.n_clamped,
-            "max_inversion_residual": result.max_inversion_residual,
-            "divisor": result.divisor,
-            "unbiased": unbiased,
-            "seed": seed,
-            "threads": threads,
-            "wall_time_s": result.wall_time_s,
-        },
-    )
-    print(f"wrote uncertainty maps to {out_dir} (N={result.n_samples})")
+    _write_json(out_dir / "estimate.json", meta)
+    print(f"wrote uncertainty maps to {out_dir} (N={spec.count})")
     return 0
 
 
@@ -456,7 +448,8 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
         entry = {"n_mc": n_mc, "seed": seed, **chk}
         model = entry.pop("model", {"mu": [0.5, 0.0, 0.0], "sigma": 0.5})
         spec = _from_section(PerturbSpec, entry, "lemma check", _CHECK_KEYS, shape=grid)
-        runs.append((spec, _on_grid(_error_model(model, seed, "lemma check 'model'"), grid)))
+        model = _error_model(model, seed, "lemma check 'model'", spec.family)
+        runs.append((spec, _on_grid(model, grid)))
     cases = []
     for case in _objects(sec.get("mse", []), "lemma mse case"):
         entry = dict(case)

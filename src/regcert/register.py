@@ -62,6 +62,8 @@ TAU_SCALE_FUNCTIONS = {
     "det": lambda t: float(np.linalg.det(_linear_offset(t)[0])),
     "offset_norm": lambda t: float(np.linalg.norm(_linear_offset(t)[1])),
 }
+# The scale functions that read a linear tau through _linear_offset.
+LINEAR_TAU_SCALES = frozenset(TAU_SCALE_FUNCTIONS) - {"one"}
 
 
 class ErrorModel:

@@ -18,13 +18,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import DenseTransform, Transform, dense, grid_points
+from .geometry import Transform, dense, grid_points
 from .perturb import PerturbSpec, sample_perturbation
 from .register import ErrorModel, OracleBackend, RegistrationBackend
 from .volume import Volume3, make_phantom, warp
 
 __all__ = [
-    "UncertaintyResult",
     "estimate_uncertainty",
     "CovDecomposition",
     "decompose_cov",
@@ -85,29 +84,46 @@ class _Moments:
         return self.ref + mean_c, cov
 
 
-@dataclass
-class UncertaintyResult:
-    """Per-voxel spread of the back-mapped re-registrations.
+class _Spread:
+    """The estimator's own reducer: the spread of the back-maps on the target's grid.
 
     cov holds the 6 upper-triangle components (xx, xy, xz, yy, yz, zz) of
-    the per-voxel sample covariance; uncertainty is its root trace, clamped
-    to 0 at the n_clamped voxels where rounding leaves the trace negative.
-    max_inversion_residual is the largest Registration.inversion_residual
-    over the samples (0.0 for backends that invert nothing).
+    the per-voxel sample covariance; u is its root trace, clamped to 0 at
+    the n_clamped voxels where rounding leaves the trace negative; mean is
+    the mean displacement.  max_inversion_residual is the largest
+    Registration.inversion_residual (0.0 for backends that invert nothing).
     """
 
-    mean: DenseTransform
-    cov: np.ndarray
-    uncertainty: Volume3
-    n_samples: int
-    divisor: str
-    wall_time_s: float
-    n_clamped: int
-    max_inversion_residual: float
+    def __init__(self, shape, unbiased: bool):
+        self.shape, self.unbiased = tuple(shape), unbiased
+        self.moments, self.max_residual = _Moments(), 0.0
+
+    def observe(self, n, tau, reg, x):
+        return x, reg.inversion_residual
+
+    def add(self, value) -> None:
+        x, residual = value
+        self.moments.add(x)
+        self.max_residual = max(self.max_residual, residual)
+
+    def report(self) -> dict:
+        n = self.moments.n
+        mean, cov = self.moments.finalize(n - 1 if self.unbiased else n)
+        mean -= grid_points(self.shape).reshape(-1, 3)
+        trace = cov[:, _TRACE_IDX].sum(axis=1)
+        return {
+            "u": np.sqrt(np.maximum(trace, 0.0)).reshape(self.shape),
+            "cov": cov.reshape(self.shape + (6,)),
+            "mean": mean.reshape(self.shape + (3,)),
+            "n_samples": n,
+            "divisor": "n-1" if self.unbiased else "n",
+            "n_clamped": int(np.count_nonzero(trace < 0.0)),
+            "max_inversion_residual": self.max_residual,
+        }
 
 
-def _one_sample(backend, source, target, spec, n, observers):
-    """observe(n, tau, reg, x) for each observer; only these values leave the worker."""
+def _one_sample(backend, source, target, spec, n, reducers):
+    """Each reducer's observe(n, tau, reg, x); only these values leave the worker."""
     tau = sample_perturbation(spec, n)
     # A backend that never reads voxel values gets the source as it is.
     perturbed = warp(source, tau) if backend.reads_images else source
@@ -126,7 +142,7 @@ def _one_sample(backend, source, target, spec, n, observers):
     pts += fitted.displacement.reshape(-1, 3)
     # Compose tau o fitted with tau evaluated analytically at fitted(y).
     x = tau.apply(pts)
-    return [observe(n, tau, reg, x) for observe in observers]
+    return [reducer.observe(n, tau, reg, x) for reducer in reducers]
 
 
 def _in_sample_order(run, count: int, threads: int):
@@ -152,7 +168,7 @@ def estimate_uncertainty(
     unbiased: bool = False,
     threads: int = 1,
     reducers=(),
-) -> UncertaintyResult:
+) -> dict:
     """Perturb, re-register, back-map, and reduce to per-voxel statistics.
 
     Samples may be computed by a worker pool, but accumulation always runs
@@ -160,46 +176,27 @@ def estimate_uncertainty(
     The covariance divisor is N (the estimator's own convention); pass
     unbiased=True for N-1.
 
-    Each reducer is an (observe, add) pair: observe(n, tau, reg, x) runs in
-    the worker next to sample n's back-map x, and add(value) receives its
-    results on the calling thread in sample order.  The moments and the
-    largest inversion residual are reduced the same way, ahead of these.
+    A reducer has three methods: observe(n, tau, reg, x) runs in the worker
+    next to sample n's back-map x, add(value) receives its results on the
+    calling thread in sample order, and report() returns its named outputs.
+    The result merges the reports, _Spread's first, and adds wall_time_s.
     """
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must be in 1..{MAX_THREADS}, got {threads}")
     t0 = time.perf_counter()
-    n_total = spec.count
-    moments, residuals = _Moments(), [0.0]
-    reducers = [(lambda n, tau, reg, x: x, moments.add),
-                (lambda n, tau, reg, x: reg.inversion_residual, residuals.append), *reducers]
-    observers = [observe for observe, _ in reducers]
-    samples = _in_sample_order(lambda n: _one_sample(backend, source, target, spec, n, observers),
-                               n_total, threads)
+    reducers = [_Spread(target.shape, unbiased), *reducers]
+    samples = _in_sample_order(lambda n: _one_sample(backend, source, target, spec, n, reducers),
+                               spec.count, threads)
     try:
         for values in samples:
             # Popping leaves nothing of this sample alive while the next is drawn.
-            for _, add in reducers:
-                add(values.pop(0))
+            for reducer in reducers:
+                reducer.add(values.pop(0))
     finally:
         samples.close()
-
-    shape = target.shape
-    denom = n_total - 1 if unbiased else n_total
-    mean_pos, cov = moments.finalize(denom)
-    grid = grid_points(shape).reshape(-1, 3)
-    mean_field = DenseTransform((mean_pos - grid).reshape(shape + (3,)))
-    trace = cov[:, _TRACE_IDX].sum(axis=1)
-    u = np.sqrt(np.maximum(trace, 0.0)).reshape(shape)
-    return UncertaintyResult(
-        mean=mean_field,
-        cov=cov.reshape(shape + (6,)),
-        uncertainty=Volume3(u.astype(np.float32), spacing=target.spacing, origin=target.origin),
-        n_samples=n_total,
-        divisor="n-1" if unbiased else "n",
-        wall_time_s=time.perf_counter() - t0,
-        n_clamped=int(np.count_nonzero(trace < 0.0)),
-        max_inversion_residual=max(residuals),
-    )
+    result = {key: value for reducer in reducers for key, value in reducer.report().items()}
+    result["wall_time_s"] = time.perf_counter() - t0
+    return result
 
 
 class CovDecomposition:
@@ -237,6 +234,9 @@ class CovDecomposition:
         if tri is not None:
             self.intr += tri
         self.jit.add(jac_mu)
+
+    def report(self) -> dict:
+        return {"intrinsic": self.intrinsic, "jitter": self.jitter}
 
     @property
     def intrinsic(self) -> np.ndarray:
@@ -278,6 +278,10 @@ class _Linearization:
 
     def observe(self, n, tau, reg, x):
         return np.einsum("nij,nj->ni", tau.jacobian(reg.inverted_positions), reg.noise)
+
+    def report(self) -> dict:
+        # verify_lemma reads total from the reducer it built.
+        return {}
 
     @property
     def total(self) -> np.ndarray:
@@ -351,9 +355,8 @@ def verify_lemma(spec: PerturbSpec, model: ErrorModel, phi: Transform) -> LemmaC
     strength = spec.deform_strength
     backend = OracleBackend(phi, model, lenient_inversion=is_deform)
     closed = _Linearization(shape) if is_deform else decompose_cov(backend, spec)
-    est = estimate_uncertainty(backend, source, target, spec,
-                               reducers=[(closed.observe, closed.add)])
-    rel = relative_frobenius(est.cov, closed.total)
+    est = estimate_uncertainty(backend, source, target, spec, reducers=[closed])
+    rel = relative_frobenius(est["cov"], closed.total)
     median = float(np.median(rel))
     central = float(rel[_central_box(shape)].max())
     mc = mc_relative_bound(spec.count)
@@ -381,6 +384,6 @@ def verify_lemma(spec: PerturbSpec, model: ErrorModel, phi: Transform) -> LemmaC
         within_tolerance=within,
         regime_violation=regime,
         passed=within or regime,
-        max_inversion_residual=est.max_inversion_residual,
+        max_inversion_residual=est["max_inversion_residual"],
         note=note,
     )

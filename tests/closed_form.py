@@ -23,8 +23,7 @@ def split_on_the_pass(backend, spec, threads: int = 1):
     """(estimate, decompose_cov's split), both from one pass on blank volumes."""
     dec = decompose_cov(backend, spec)
     blank = Volume3(np.zeros(spec.shape, dtype=np.float32))
-    est = estimate_uncertainty(backend, blank, blank, spec, threads=threads,
-                               reducers=[(dec.observe, dec.add)])
+    est = estimate_uncertainty(backend, blank, blank, spec, threads=threads, reducers=[dec])
     return est, dec
 
 

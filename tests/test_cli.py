@@ -82,6 +82,14 @@ def simulate(tmp_path, out, cfg=None, argv_extra=()):
     return out
 
 
+# What simulate-pair writes, and what estimate writes with every backend.
+PAIR_FILES = ("source.rcv", "target.rcv", "gt.rcv", "gt.json")
+ESTIMATE_MAPS = ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "estimate.json")
+ESTIMATE_KEYS = sorted(["backend", "perturb_spec", "n_samples", "n_clamped",
+                        "max_inversion_residual", "divisor", "unbiased", "seed", "threads",
+                        "wall_time_s"])
+
+
 def json_without_wall_time(path):
     obj = json.loads(path.read_text())
     obj.pop("wall_time_s", None)
@@ -215,12 +223,11 @@ def test_estimate_writes_maps_and_echoes_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "est.json", oracle_est_cfg())
     rc = main(["estimate", "--config", cfg, "--out", str(out)])
     assert rc == 0
-    for name in ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "estimate.json"):
-        assert (out / name).is_file()
     # oracle backends get the analytic covariance split as well
-    assert (out / "intrinsic.rcv").is_file()
-    assert (out / "jitter.rcv").is_file()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        PAIR_FILES + ESTIMATE_MAPS + ("intrinsic.rcv", "jitter.rcv"))
     meta = json.loads((out / "estimate.json").read_text())
+    assert sorted(meta) == ESTIMATE_KEYS
     assert meta["backend"]["kind"] == "oracle"
     assert meta["perturb_spec"]["family"] == "translation"
     assert meta["perturb_spec"]["count"] == 12
@@ -274,10 +281,11 @@ def test_estimate_solver_backend_skips_decomposition(tmp_path):
     )
     rc = main(["estimate", "--config", cfg, "--out", str(out)])
     assert rc == 0
-    assert (out / "u.rcv").is_file()
-    assert not (out / "intrinsic.rcv").exists()
-    assert not (out / "jitter.rcv").exists()
-    assert json.loads((out / "estimate.json").read_text())["max_inversion_residual"] == 0.0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        PAIR_FILES + ESTIMATE_MAPS + ("solver_log.csv",))
+    meta = json.loads((out / "estimate.json").read_text())
+    assert sorted(meta) == ESTIMATE_KEYS
+    assert meta["max_inversion_residual"] == 0.0
 
 
 def test_estimate_reports_the_oracle_inversion_residual(tmp_path):
@@ -788,6 +796,15 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
                                    "checks": []}}, "'matrix'"),
         ("lemma-check", {"lemma": {"phi": {"kind": "translation", "matrix": np.eye(3).tolist()},
                                    "checks": []}}, "'matrix'"),
+        # Every scale function but "one" reads a linear perturbation: deform draws have none.
+        ("estimate", oracle_est_cfg(perturb={"family": "deform", "count": 4}, backend={
+            "kind": "oracle", "error_model": {"mu": [0.5, 0.0, 0.0], "mu_scale": "det"}}),
+         "'mu_scale'"),
+        ("estimate@empty", oracle_est_cfg(perturb={"family": "deform", "count": 4}, backend={
+            "kind": "oracle", "error_model": {"sigma": 0.5, "sigma_scale": "mean_diag"}}),
+         "'sigma_scale'"),
+        ("lemma-check", lemma_cfg({"kind": "deform", "model": {"sigma": 0.5, "sigma_scale": "det"}}),
+         "'sigma_scale'"),
     ],
     ids=[
         "seed",
@@ -859,6 +876,9 @@ def lemma_cfg(*checks, n_mc=50, mse=()):
         "identity-phi-offset",
         "identity-phi-matrix",
         "translation-phi-matrix",
+        "deform-mu-scale",
+        "deform-sigma-scale-no-pair",
+        "check-deform-sigma-scale",
     ],
 )
 def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):

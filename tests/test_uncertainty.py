@@ -8,6 +8,7 @@ stream is genuinely involved.
 import json
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,13 +123,13 @@ def test_estimate_bitwise_deterministic_and_thread_invariant():
     a = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
     b = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
     c = estimate_uncertainty(backend, blank(shape), blank(shape), spec, threads=3)
-    assert np.array_equal(a.cov, b.cov)
-    assert np.array_equal(a.cov, c.cov)
-    assert np.array_equal(a.uncertainty.data, c.uncertainty.data)
-    assert np.array_equal(a.mean.displacement, c.mean.displacement)
-    assert a.n_samples == spec.count
-    assert a.divisor == "n"
-    assert a.wall_time_s > 0
+    assert np.array_equal(a["cov"], b["cov"])
+    assert np.array_equal(a["cov"], c["cov"])
+    assert np.array_equal(a["u"], c["u"])
+    assert np.array_equal(a["mean"], c["mean"])
+    assert a["n_samples"] == spec.count
+    assert a["divisor"] == "n"
+    assert a["wall_time_s"] > 0
 
 
 def test_n_clamped_counts_the_negative_traces(monkeypatch):
@@ -141,7 +142,7 @@ def test_n_clamped_counts_the_negative_traces(monkeypatch):
     # The sums are centred on the first draw, so a variance is at least 1/N of
     # the mean squared offset and rounding leaves no trace negative.
     res = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
-    assert res.n_clamped == np.count_nonzero(trace(res.cov) < 0.0) == 0
+    assert res["n_clamped"] == np.count_nonzero(trace(res["cov"]) < 0.0) == 0
 
     finalize = uncertainty._Moments.finalize
 
@@ -153,9 +154,9 @@ def test_n_clamped_counts_the_negative_traces(monkeypatch):
 
     monkeypatch.setattr(uncertainty._Moments, "finalize", dented)
     res = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
-    negative = trace(res.cov) < 0.0
-    assert res.n_clamped == np.count_nonzero(negative) == len(range(0, 216, 7))
-    assert np.all(res.uncertainty.scalar[negative] == 0.0)
+    negative = trace(res["cov"]) < 0.0
+    assert res["n_clamped"] == np.count_nonzero(negative) == len(range(0, 216, 7))
+    assert np.all(res["u"][negative] == 0.0)
 
 
 def test_unbiased_divisor_rescales_covariance():
@@ -164,8 +165,8 @@ def test_unbiased_divisor_rescales_covariance():
     spec = spec_for("translation", shape, count=10)
     biased = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
     unbiased = estimate_uncertainty(backend, blank(shape), blank(shape), spec, unbiased=True)
-    assert unbiased.divisor == "n-1"
-    assert np.allclose(unbiased.cov, biased.cov * (10.0 / 9.0), rtol=1e-12, atol=1e-300)
+    assert unbiased["divisor"] == "n-1"
+    assert np.allclose(unbiased["cov"], biased["cov"] * (10.0 / 9.0), rtol=1e-12, atol=1e-300)
 
 
 def test_translation_perturbations_only_shift_mean():
@@ -175,8 +176,8 @@ def test_translation_perturbations_only_shift_mean():
     shape = (8, 8, 8)
     backend = OracleBackend(PHI, ErrorModel())
     est = estimate_uncertainty(backend, blank(shape), blank(shape), spec_for("translation", shape))
-    assert float(est.uncertainty.data.max()) < 1e-12
-    assert np.max(np.abs(est.mean.displacement - PHI.offset)) < 1e-12
+    assert float(est["u"].max()) < 1e-12
+    assert np.max(np.abs(est["mean"] - PHI.offset)) < 1e-12
 
 
 def test_collapsed_ranges_give_exactly_zero_uncertainty():
@@ -185,8 +186,8 @@ def test_collapsed_ranges_give_exactly_zero_uncertainty():
     spec = spec_for("translation", shape, count=5, **collapsed)
     backend = OracleBackend(PHI, ErrorModel())
     est = estimate_uncertainty(backend, blank(shape), blank(shape), spec)
-    assert np.array_equal(est.uncertainty.data, np.zeros(shape + (1,), dtype=np.float32))
-    assert np.array_equal(est.cov, np.zeros(shape + (6,)))
+    assert np.array_equal(est["u"], np.zeros(shape))
+    assert np.array_equal(est["cov"], np.zeros(shape + (6,)))
 
 
 def test_collapsed_ranges_zero_even_for_real_solver():
@@ -198,14 +199,14 @@ def test_collapsed_ranges_zero_even_for_real_solver():
     spec = PerturbSpec(family="translation", shape=shape, seed=0, count=4,
                        translation_fraction=0.0)
     est = estimate_uncertainty(AffineSsdBackend(levels=2, iters=4, step=0.5), src, tgt, spec)
-    assert float(np.abs(est.uncertainty.data).max()) == 0.0
+    assert float(np.abs(est["u"]).max()) == 0.0
 
 
 def test_covariance_is_positive_semidefinite():
     shape = (8, 8, 8)
     backend = OracleBackend(PHI, ErrorModel(mu=(0.3, 0.1, 0.0), sigma=0.25, seed=2))
     est = estimate_uncertainty(backend, blank(shape), blank(shape), spec_for("affine", shape, count=40))
-    w = np.linalg.eigvalsh(tri_to_matrices(est.cov).reshape(-1, 3, 3))
+    w = np.linalg.eigvalsh(tri_to_matrices(est["cov"]).reshape(-1, 3, 3))
     assert w.min() >= -1e-9 * max(w.max(), 1.0)
 
 
@@ -414,7 +415,7 @@ def test_decomposition_terms_are_psd(family, seed, rank, mu_field, mu_scale, sig
     spec = PerturbSpec(family=family, shape=shape, seed=seed, count=8)
     # The estimator's own covariance on the same draws is held to the same bound.
     est, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
-    for term in (dec.intrinsic, dec.jitter, est.cov):
+    for term in (dec.intrinsic, dec.jitter, est["cov"]):
         w = np.linalg.eigvalsh(tri_to_matrices(term).reshape(-1, 3, 3))
         assert w.min() >= -1e-12 * max(1.0, float(np.abs(w).max()))
 
@@ -453,7 +454,7 @@ def test_estimator_matches_decomposition_without_noise():
     model = ErrorModel(mu=(1.0, 0.0, 0.0), sigma=0.0, mu_scale="mean_diag")
     est, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
     assert np.array_equal(dec.intrinsic, np.zeros(shape + (6,)))
-    assert np.max(np.abs(est.cov - dec.total)) < 1e-12
+    assert np.max(np.abs(est["cov"] - dec.total)) < 1e-12
 
 
 def test_closed_form_affine_worked_example():
@@ -485,8 +486,7 @@ def test_closed_form_matches_decomposition_at_a_voxel():
 def _linearized(backend, spec):
     """(estimate, the linearization reducer's covariance) from one pass on blank volumes."""
     lin = _Linearization(spec.shape)
-    est = estimate_uncertainty(backend, blank(spec.shape), blank(spec.shape), spec,
-                               reducers=[(lin.observe, lin.add)])
+    est = estimate_uncertainty(backend, blank(spec.shape), blank(spec.shape), spec, reducers=[lin])
     return est, lin.total
 
 
@@ -498,8 +498,8 @@ def test_linearized_model_is_exact_for_translations():
     spec = spec_for("translation", shape, count=40)
     backend = OracleBackend(PHI, ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7))
     est, lin = _linearized(backend, spec)
-    assert est.max_inversion_residual == 0.0
-    assert np.max(np.abs(est.cov - lin)) < 1e-12
+    assert est["max_inversion_residual"] == 0.0
+    assert np.max(np.abs(est["cov"] - lin)) < 1e-12
 
 
 def _linearized_cov_two_pass(backend, spec):
@@ -529,7 +529,7 @@ def test_one_pass_linearization_is_bitwise_the_two_pass_one(strength):
         OracleBackend(PHI, model, lenient_inversion=True), spec
     )
     assert lin.tobytes() == ref.tobytes()
-    assert est.max_inversion_residual == ref_residual
+    assert est["max_inversion_residual"] == ref_residual
     assert ref_residual > 0.0
 
 
@@ -544,11 +544,11 @@ def test_max_inversion_residual_is_the_largest_sample_residual():
         for n in range(spec.count)
     )
     assert want > 0.0
-    assert est.max_inversion_residual == want
+    assert est["max_inversion_residual"] == want
     src = make_phantom((16, 16, 16), "blobs", seed=0)
     solver = estimate_uncertainty(AffineSsdBackend(levels=1, iters=2), src, src,
                                   spec_for("translation", (16, 16, 16), count=3))
-    assert solver.max_inversion_residual == 0.0
+    assert solver["max_inversion_residual"] == 0.0
 
 
 def test_observer_results_reduce_in_sample_order_at_any_thread_count():
@@ -564,19 +564,23 @@ def test_observer_results_reduce_in_sample_order_at_any_thread_count():
         runs, seen = {}, {}
         for threads in (1, 3):
             seen[threads], moments = [], _Moments()
-            reducers = [(observe, seen[threads].append), (lambda n, tau, reg, x: x, moments.add)]
+            order = SimpleNamespace(observe=observe, add=seen[threads].append,
+                                    report=lambda got=seen[threads]: {"order": [n for n, _ in got]})
+            reducers = [order, SimpleNamespace(observe=lambda n, tau, reg, x: x, add=moments.add,
+                                               report=dict)]
             runs[threads] = estimate_uncertainty(backend, blank(shape), blank(shape), spec,
                                                  threads=threads, reducers=reducers)
-            assert [n for n, _ in seen[threads]] == list(range(count))
+            # A reducer's report reaches the result next to the estimator's own keys.
+            assert runs[threads]["order"] == list(range(count))
             # The estimator's own moments are a reducer like any caller's.
             cov = moments.finalize(count)[1].reshape(shape + (6,))
-            assert cov.tobytes() == runs[threads].cov.tobytes()
+            assert cov.tobytes() == runs[threads]["cov"].tobytes()
         assert seen[1] == seen[3]
         plain = estimate_uncertainty(backend, blank(shape), blank(shape), spec, threads=3)
         for other in (runs[3], plain):
-            assert other.cov.tobytes() == runs[1].cov.tobytes()
-            assert other.mean.displacement.tobytes() == runs[1].mean.displacement.tobytes()
-            assert other.max_inversion_residual == runs[1].max_inversion_residual
+            assert other["cov"].tobytes() == runs[1]["cov"].tobytes()
+            assert other["mean"].tobytes() == runs[1]["mean"].tobytes()
+            assert other["max_inversion_residual"] == runs[1]["max_inversion_residual"]
 
 
 @pytest.mark.parametrize("where", ["backend", "reducer"])
@@ -592,7 +596,8 @@ def test_threaded_failure_leaves_no_worker_running(where):
             raise ValueError(f"reducer refused sample {n}")
 
     shape = (6, 6, 6)
-    reducers = [(lambda n, tau, reg, x: n, refuse)] if where == "reducer" else []
+    refusing = SimpleNamespace(observe=lambda n, tau, reg, x: n, add=refuse, report=dict)
+    reducers = [refusing] if where == "reducer" else []
     before = threading.active_count()
     # Sample 13 falls in the second pool chunk of 12.  The held traceback keeps
     # the call's frame alive, so garbage collection cannot be what ends the pool.
