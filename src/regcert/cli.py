@@ -8,10 +8,11 @@ so runs are self-describing.  Outputs land in a flat directory under
 fixed names: simulate-pair writes source.rcv, target.rcv, gt.rcv,
 gt.json; estimate writes u.rcv, cov.rcv, mean.rcv, pred.rcv,
 estimate.json, solver_log.csv (affine_ssd, demons), intrinsic.rcv and
-jitter.rcv (oracle); evaluate writes error.rcv, metrics.json,
-risk_coverage.csv, risk_coverage_binned.csv; lemma-check writes
-lemma_report.json.  simulate-pair and lemma-check create the directory
-once their config has been read, so a config error leaves none behind.
+jitter.rcv (oracle), and removes those of the last three it did not write;
+evaluate writes error.rcv, metrics.json, risk_coverage_binned.csv;
+lemma-check writes lemma_report.json.  simulate-pair and lemma-check
+create the directory once their config has been read, so a config error
+leaves none behind.
 Exit codes: 0 success, 1 config error, 2 numeric failure, 3 I/O error.
 """
 
@@ -22,7 +23,6 @@ import csv
 import ctypes
 import inspect
 import io
-import itertools
 import json
 import math
 import os
@@ -154,26 +154,12 @@ def _write_json(path, obj) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
-# Rows per encoded CSV chunk, and per tolist() slice of a risk-coverage column.
-_CSV_ROWS = 512
-
-
 def _write_csv(path, header, rows) -> None:
-    """header and rows as CSV, encoded and written _CSV_ROWS rows at a time."""
-
-    def chunks():
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        rows_left = iter(rows)
-        block = [header]
-        while block:
-            writer.writerows(block)
-            yield buf.getvalue().encode("utf-8")
-            buf.seek(0)
-            buf.truncate()
-            block = list(itertools.islice(rows_left, _CSV_ROWS))
-
-    write_atomic(path, chunks())
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def _shape(shape, key: str) -> tuple[int, int, int]:
@@ -360,6 +346,10 @@ def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> i
     return 0
 
 
+# What estimate writes for some backends only: the oracle's split, a solver's log.
+_BACKEND_OUTPUTS = ("intrinsic.rcv", "jitter.rcv", "solver_log.csv")
+
+
 def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
     # Every section is read before the pair is opened, so its mistakes are
     # config errors even where the pair is missing.
@@ -383,15 +373,21 @@ def cmd_estimate(cfg: dict, out_dir: Path, seed: int, threads: int) -> int:
                   backend={**backend_sec, "seed": seed}, perturb_spec=asdict(spec),
                   unbiased=unbiased, seed=seed, threads=threads)
     # Every map is a volume on the target's grid, and the rest is metadata.
-    meta = {}
+    meta, written = {}, []
     for name, value in report.items():
         if isinstance(value, np.ndarray):
-            write_volume(out_dir / f"{name}.rcv", _on_grid_of(target, value))
+            written.append(f"{name}.rcv")
+            write_volume(out_dir / written[-1], _on_grid_of(target, value))
         else:
             meta[name] = value
     if pred.log:
-        _write_csv(out_dir / "solver_log.csv", pred.log_header, pred.log)
+        written.append("solver_log.csv")
+        _write_csv(out_dir / written[-1], pred.log_header, pred.log)
     _write_json(out_dir / "estimate.json", meta)
+    # What an earlier run with another backend wrote would pass for this run's.
+    for name in _BACKEND_OUTPUTS:
+        if name not in written:
+            (out_dir / name).unlink(missing_ok=True)
     print(f"wrote uncertainty maps to {out_dir} (N={spec.count})")
     return 0
 
@@ -420,13 +416,8 @@ def cmd_evaluate(cfg: dict, out_dir: Path, seed: int) -> int:
     write_volume(out_dir / "error.rcv", _on_grid_of(u_vol, err.values))
     _write_json(out_dir / "metrics.json", metrics)
     header = ("coverage", "risk", "bin_mean_uncertainty")
-    columns = (curve.coverage, curve.risk, curve.bin_mean_uncertainty)
-    rows = (row for s in range(0, len(curve.coverage), _CSV_ROWS)
-            for row in zip(*(c[s : s + _CSV_ROWS].tolist() for c in columns)))
-    _write_csv(out_dir / "risk_coverage.csv", header, rows)
-    binned = bin_curve(curve, bins)
     _write_csv(out_dir / "risk_coverage_binned.csv", header,
-               ([r[k] for k in header] for r in binned))
+               ([r[k] for k in header] for r in bin_curve(curve, bins)))
     shown = {k: v for k, v in metrics.items() if k in ("pearson", "spearman", "naurc")}
     print(f"metrics: {_sanitize(shown)}")
     return 0

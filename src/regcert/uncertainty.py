@@ -236,20 +236,9 @@ class CovDecomposition:
         self.jit.add(jac_mu)
 
     def report(self) -> dict:
-        return {"intrinsic": self.intrinsic, "jitter": self.jitter}
-
-    @property
-    def intrinsic(self) -> np.ndarray:
-        return np.repeat(self.intr / self.jit.n, self.reps, axis=0).reshape(self.shape + (6,))
-
-    @property
-    def jitter(self) -> np.ndarray:
-        return np.repeat(self.jit.finalize(self.jit.n)[1], self.reps, axis=0).reshape(
-            self.shape + (6,))
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.intrinsic + self.jitter
+        terms = {"intrinsic": self.intr / self.jit.n, "jitter": self.jit.finalize(self.jit.n)[1]}
+        return {name: np.repeat(term, self.reps, axis=0).reshape(self.shape + (6,))
+                for name, term in terms.items()}
 
 
 def decompose_cov(backend: OracleBackend, spec: PerturbSpec) -> CovDecomposition:
@@ -280,12 +269,7 @@ class _Linearization:
         return np.einsum("nij,nj->ni", tau.jacobian(reg.inverted_positions), reg.noise)
 
     def report(self) -> dict:
-        # verify_lemma reads total from the reducer it built.
-        return {}
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.moments.finalize(self.moments.n)[1].reshape(self.shape + (6,))
+        return {"linearized": self.moments.finalize(self.moments.n)[1].reshape(self.shape + (6,))}
 
 
 @dataclass
@@ -356,7 +340,8 @@ def verify_lemma(spec: PerturbSpec, model: ErrorModel, phi: Transform) -> LemmaC
     backend = OracleBackend(phi, model, lenient_inversion=is_deform)
     closed = _Linearization(shape) if is_deform else decompose_cov(backend, spec)
     est = estimate_uncertainty(backend, source, target, spec, reducers=[closed])
-    rel = relative_frobenius(est["cov"], closed.total)
+    closed_cov = est["linearized"] if is_deform else est["intrinsic"] + est["jitter"]
+    rel = relative_frobenius(est["cov"], closed_cov)
     median = float(np.median(rel))
     central = float(rel[_central_box(shape)].max())
     mc = mc_relative_bound(spec.count)

@@ -19,12 +19,11 @@ from regcert.uncertainty import _TRI, decompose_cov, estimate_uncertainty
 from regcert.volume import Volume3
 
 
-def split_on_the_pass(backend, spec, threads: int = 1):
-    """(estimate, decompose_cov's split), both from one pass on blank volumes."""
-    dec = decompose_cov(backend, spec)
+def split_on_the_pass(backend, spec, threads: int = 1) -> dict:
+    """The estimate with decompose_cov's intrinsic and jitter, from one pass on blank volumes."""
     blank = Volume3(np.zeros(spec.shape, dtype=np.float32))
-    est = estimate_uncertainty(backend, blank, blank, spec, threads=threads, reducers=[dec])
-    return est, dec
+    return estimate_uncertainty(backend, blank, blank, spec, threads=threads,
+                                reducers=[decompose_cov(backend, spec)])
 
 
 def tri_to_matrices(tri: np.ndarray) -> np.ndarray:

@@ -22,11 +22,9 @@ import pytest
 
 import regcert.cli as cli
 from regcert.cli import main
-from regcert.geometry import DenseTransform
-from regcert.metrics import error_map, risk_coverage
 from regcert.perturb import PerturbSpec
 from regcert.uncertainty import MAX_THREADS
-from regcert.volume import RoiMask, Volume3, read_volume, write_volume
+from regcert.volume import Volume3, read_volume, write_volume
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +80,13 @@ def simulate(tmp_path, out, cfg=None, argv_extra=()):
     return out
 
 
-# What simulate-pair writes, and what estimate writes with every backend.
+# What simulate-pair writes, what estimate writes with every backend, and what evaluate writes.
 PAIR_FILES = ("source.rcv", "target.rcv", "gt.rcv", "gt.json")
 ESTIMATE_MAPS = ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "estimate.json")
+EVALUATE_FILES = ("error.rcv", "metrics.json", "risk_coverage_binned.csv")
+# What a pair directory holds after an oracle estimate, and after a solver's.
+ORACLE_FILES = PAIR_FILES + ESTIMATE_MAPS + ("intrinsic.rcv", "jitter.rcv")
+SOLVER_FILES = PAIR_FILES + ESTIMATE_MAPS + ("solver_log.csv",)
 ESTIMATE_KEYS = sorted(["backend", "perturb_spec", "n_samples", "n_clamped",
                         "max_inversion_residual", "divisor", "unbiased", "seed", "threads",
                         "wall_time_s"])
@@ -224,8 +226,7 @@ def test_estimate_writes_maps_and_echoes_config(tmp_path, capsys):
     rc = main(["estimate", "--config", cfg, "--out", str(out)])
     assert rc == 0
     # oracle backends get the analytic covariance split as well
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        PAIR_FILES + ESTIMATE_MAPS + ("intrinsic.rcv", "jitter.rcv"))
+    assert sorted(p.name for p in out.iterdir()) == sorted(ORACLE_FILES)
     meta = json.loads((out / "estimate.json").read_text())
     assert sorted(meta) == ESTIMATE_KEYS
     assert meta["backend"]["kind"] == "oracle"
@@ -281,11 +282,25 @@ def test_estimate_solver_backend_skips_decomposition(tmp_path):
     )
     rc = main(["estimate", "--config", cfg, "--out", str(out)])
     assert rc == 0
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        PAIR_FILES + ESTIMATE_MAPS + ("solver_log.csv",))
+    assert sorted(p.name for p in out.iterdir()) == sorted(SOLVER_FILES)
     meta = json.loads((out / "estimate.json").read_text())
     assert sorted(meta) == ESTIMATE_KEYS
     assert meta["max_inversion_residual"] == 0.0
+
+
+@pytest.mark.parametrize("order", [("oracle", "affine_ssd"), ("affine_ssd", "oracle")],
+                         ids=["oracle-then-solver", "solver-then-oracle"])
+def test_estimate_leaves_no_file_of_another_backend(tmp_path, order):
+    # Each run ends with the file set a fresh directory gets.
+    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
+    runs = {"oracle": (oracle_est_cfg(count=4), ORACLE_FILES),
+            "affine_ssd": ({"perturb": {"count": 2}, "backend": {"kind": "affine_ssd", "iters": 1}},
+                           SOLVER_FILES)}
+    for kind in order:
+        cfg, files = runs[kind]
+        assert main(["estimate", "--config", write_cfg(tmp_path, f"{kind}.json", cfg),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(files), kind
 
 
 def test_estimate_reports_the_oracle_inversion_residual(tmp_path):
@@ -383,10 +398,7 @@ def test_full_pipeline_metrics_and_curves(tmp_path, capsys):
     assert metrics["mask_voxels"] == 20 * 20 * 20
     assert metrics["bins"] == 10
     assert metrics["aurc"] >= metrics["oracle_aurc"]
-    assert (out / "error.rcv").is_file()
-    rows = (out / "risk_coverage.csv").read_text().splitlines()
-    assert rows[0] == "coverage,risk,bin_mean_uncertainty"
-    assert len(rows) == 1 + 20 * 20 * 20
+    assert sorted(p.name for p in out.iterdir()) == sorted(ORACLE_FILES + EVALUATE_FILES)
     binned = (out / "risk_coverage_binned.csv").read_text().splitlines()
     assert binned[0] == "coverage,risk,bin_mean_uncertainty"
     assert len(binned) == 1 + 10
@@ -406,7 +418,7 @@ def test_pipeline_reruns_are_byte_identical_across_threads(tmp_path):
     a, b = outs
     # The oracle's closed-form split is reduced in the threaded pass too.
     for name in ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "intrinsic.rcv", "jitter.rcv",
-                 "error.rcv", "risk_coverage.csv"):
+                 "error.rcv", "risk_coverage_binned.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     assert json_without_wall_time(a / "estimate.json") != json_without_wall_time(b / "estimate.json")
     ja, jb = (json_without_wall_time(p / "estimate.json") for p in (a, b))
@@ -435,7 +447,7 @@ def test_deform_demons_estimate_is_byte_identical_across_threads(tmp_path):
 
 
 def _one_buffer_csv(header, rows) -> bytes:
-    """The whole-buffer CSV writer the streamed one replaces."""
+    """header and rows as csv.writer writes them, in UTF-8."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -444,31 +456,10 @@ def _one_buffer_csv(header, rows) -> bytes:
 
 
 @pytest.mark.parametrize("count", [0, 2, 3, 7])
-def test_csv_blocks_are_byte_identical_to_one_buffer(tmp_path, monkeypatch, count):
-    # Three rows a block: none, under one block, exactly one, and a remainder.
-    monkeypatch.setattr(cli, "_CSV_ROWS", 3)
+def test_csv_blocks_are_byte_identical_to_one_buffer(tmp_path, count):
     rows = [(i, i / 7.0, f"r{i}") for i in range(count)]
     cli._write_csv(tmp_path / "t.csv", ("a", "b", "c"), iter(rows))
     assert (tmp_path / "t.csv").read_bytes() == _one_buffer_csv(("a", "b", "c"), rows)
-
-
-@pytest.mark.parametrize("block", [5000, 1000], ids=["under-one-block", "remainder"])
-def test_risk_coverage_csv_streams_byte_identical(tmp_path, monkeypatch, block):
-    # 16^3 voxels: 4096 rows, under one 5000-row block or four 1000-row
-    # blocks and a remainder.
-    out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
-    est = write_cfg(tmp_path, "est.json", oracle_est_cfg(count=4))
-    assert main(["estimate", "--config", est, "--out", str(out)]) == 0
-    monkeypatch.setattr(cli, "_CSV_ROWS", block)
-    assert main(["evaluate", "--config", write_cfg(tmp_path, "ev.json", {}),
-                 "--out", str(out)]) == 0
-    u = read_volume(out / "u.rcv")
-    pred = DenseTransform(read_volume(out / "pred.rcv").data.astype(np.float64))
-    curve = risk_coverage(error_map(pred, cli._truth_from(out), RoiMask.full(u.shape)), u)
-    columns = (curve.coverage, curve.risk, curve.bin_mean_uncertainty)
-    expected = _one_buffer_csv(("coverage", "risk", "bin_mean_uncertainty"),
-                               zip(*(c.tolist() for c in columns)))
-    assert (out / "risk_coverage.csv").read_bytes() == expected
 
 
 def test_evaluate_reports_undefined_for_degenerate_correlations(tmp_path, capsys):
@@ -902,7 +893,7 @@ def test_config_mistakes_exit_one(tmp_path, capsys, command, cfg, names):
         assert names in err
     # The rejected stage runs nothing and writes nothing.
     assert "[lemma-check]" not in printed.out
-    unwritten = ["error.rcv", "metrics.json", "risk_coverage.csv", "lemma_report.json"]
+    unwritten = ["error.rcv", "metrics.json", "risk_coverage_binned.csv", "lemma_report.json"]
     if command != "evaluate":
         unwritten.append("estimate.json")
     if command == "simulate-pair":

@@ -338,20 +338,20 @@ def test_linear_decomposition_equals_per_voxel_reference(family, model_kind):
     shape = (7, 8, 9)
     spec = spec_for(family, shape, count=12)
     backend = OracleBackend(PHI, _reference_model(model_kind, shape))
-    _, dec = split_on_the_pass(backend, spec)
+    est = split_on_the_pass(backend, spec)
     intr, jitter = _decompose_cov_per_voxel(backend, spec, 12)
-    assert np.array_equal(dec.intrinsic, intr)
-    assert np.array_equal(dec.jitter, jitter)
+    assert np.array_equal(est["intrinsic"], intr)
+    assert np.array_equal(est["jitter"], jitter)
 
 
 def test_deform_decomposition_equals_per_voxel_reference():
     shape = (7, 8, 9)
     spec = spec_for("deform", shape, count=6, deform_strength=0.02)
     backend = OracleBackend(PHI, _reference_model("mu-field", shape))
-    _, dec = split_on_the_pass(backend, spec)
+    est = split_on_the_pass(backend, spec)
     intr, jitter = _decompose_cov_per_voxel(backend, spec, 6)
-    assert np.array_equal(dec.intrinsic, intr)
-    assert np.array_equal(dec.jitter, jitter)
+    assert np.array_equal(est["intrinsic"], intr)
+    assert np.array_equal(est["jitter"], jitter)
 
 
 @pytest.mark.parametrize(
@@ -386,14 +386,14 @@ def test_decomposition_inverts_one_point_only_where_the_closed_form_is_uniform(
     else:
         model = _reference_model(model_kind, shape)
     kw = {"deform_strength": 0.02} if family == "deform" else {}
-    _, dec = split_on_the_pass(OracleBackend(PHI, model), spec_for(family, shape, count=5, **kw))
+    est = split_on_the_pass(OracleBackend(PHI, model), spec_for(family, shape, count=5, **kw))
     # The oracle's own inversion of each draw is the only one.
     assert sizes["inverse"] == [n_vox] * 5
     # Per draw the oracle's noise takes mu on the grid, then the split takes J and mu.
     assert sizes["jacobian"] == [points] * 5
     assert sizes["mean"] == [n_vox, points] * 5
-    assert dec.intrinsic.shape == dec.jitter.shape == shape + (6,)
-    assert dec.intrinsic.flags.writeable and dec.jitter.flags.writeable
+    assert est["intrinsic"].shape == est["jitter"].shape == shape + (6,)
+    assert est["intrinsic"].flags.writeable and est["jitter"].flags.writeable
 
 
 @settings(max_examples=30, deadline=None)
@@ -414,8 +414,8 @@ def test_decomposition_terms_are_psd(family, seed, rank, mu_field, mu_scale, sig
                        seed=seed, **mean)
     spec = PerturbSpec(family=family, shape=shape, seed=seed, count=8)
     # The estimator's own covariance on the same draws is held to the same bound.
-    est, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
-    for term in (dec.intrinsic, dec.jitter, est["cov"]):
+    est = split_on_the_pass(OracleBackend(PHI, model), spec)
+    for term in (est["intrinsic"], est["jitter"], est["cov"]):
         w = np.linalg.eigvalsh(tri_to_matrices(term).reshape(-1, 3, 3))
         assert w.min() >= -1e-12 * max(1.0, float(np.abs(w).max()))
 
@@ -425,24 +425,24 @@ def test_translation_intrinsic_is_model_covariance():
     # and a constant mu contributes no jitter at all.
     sigma = np.diag([0.04, 0.09, 0.16])
     backend = OracleBackend(PHI, ErrorModel(mu=(1.0, 0.0, 0.0), sigma=sigma))
-    _, dec = split_on_the_pass(backend, spec_for("translation", (6, 6, 6), count=12))
+    est = split_on_the_pass(backend, spec_for("translation", (6, 6, 6), count=12))
     want = np.array([0.04, 0.0, 0.0, 0.09, 0.0, 0.16])
-    assert np.max(np.abs(dec.intrinsic - want)) < 1e-15
-    assert np.array_equal(dec.jitter, np.zeros((6, 6, 6, 6)))
+    assert np.max(np.abs(est["intrinsic"] - want)) < 1e-15
+    assert np.array_equal(est["jitter"], np.zeros((6, 6, 6, 6)))
 
 
 def test_scaled_mean_jitter_matches_hand_computation():
     shape = (6, 6, 6)
     spec = spec_for("translation", shape, count=30)
     model = ErrorModel(mu=(1.0, 0.0, 0.0), sigma=0.0, mu_scale="offset_norm")
-    _, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
+    est = split_on_the_pass(OracleBackend(PHI, model), spec)
     norms = np.array([
         np.linalg.norm(sample_perturbation(spec, m).offset) for m in range(30)
     ])
     var = norms.var()  # divisor K, same convention
-    assert np.max(np.abs(dec.jitter[..., 0] - var)) < 1e-12
-    assert np.max(np.abs(dec.jitter[..., 1:])) < 1e-12
-    assert np.array_equal(dec.intrinsic, np.zeros(shape + (6,)))
+    assert np.max(np.abs(est["jitter"][..., 0] - var)) < 1e-12
+    assert np.max(np.abs(est["jitter"][..., 1:])) < 1e-12
+    assert np.array_equal(est["intrinsic"], np.zeros(shape + (6,)))
 
 
 def test_estimator_matches_decomposition_without_noise():
@@ -452,9 +452,9 @@ def test_estimator_matches_decomposition_without_noise():
     shape = (8, 8, 8)
     spec = spec_for("scale", shape, count=25)
     model = ErrorModel(mu=(1.0, 0.0, 0.0), sigma=0.0, mu_scale="mean_diag")
-    est, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
-    assert np.array_equal(dec.intrinsic, np.zeros(shape + (6,)))
-    assert np.max(np.abs(est["cov"] - dec.total)) < 1e-12
+    est = split_on_the_pass(OracleBackend(PHI, model), spec)
+    assert np.array_equal(est["intrinsic"], np.zeros(shape + (6,)))
+    assert np.max(np.abs(est["cov"] - (est["intrinsic"] + est["jitter"]))) < 1e-12
 
 
 def test_closed_form_affine_worked_example():
@@ -474,20 +474,19 @@ def test_closed_form_matches_decomposition_at_a_voxel():
     shape = (8, 8, 8)
     spec = spec_for("affine", shape, count=15)
     model = ErrorModel(mu=(0.5, 0.2, 0.0), sigma=0.3)
-    _, dec = split_on_the_pass(OracleBackend(PHI, model), spec)
+    est = split_on_the_pass(OracleBackend(PHI, model), spec)
     samples = [sample_perturbation(spec, m) for m in range(15)]
     y = (6.0, 6.0, 6.0)
     intr, jit = closed_form_cov_affine(samples, model, y)
     vox = (6, 6, 6)
-    assert np.max(np.abs(tri_to_matrices(dec.intrinsic[vox]) - intr)) < 1e-12
-    assert np.max(np.abs(tri_to_matrices(dec.jitter[vox]) - jit)) < 1e-12
+    assert np.max(np.abs(tri_to_matrices(est["intrinsic"][vox]) - intr)) < 1e-12
+    assert np.max(np.abs(tri_to_matrices(est["jitter"][vox]) - jit)) < 1e-12
 
 
-def _linearized(backend, spec):
-    """(estimate, the linearization reducer's covariance) from one pass on blank volumes."""
-    lin = _Linearization(spec.shape)
-    est = estimate_uncertainty(backend, blank(spec.shape), blank(spec.shape), spec, reducers=[lin])
-    return est, lin.total
+def _linearized(backend, spec) -> dict:
+    """The estimate with the linearization reducer's covariance, from one pass on blank volumes."""
+    return estimate_uncertainty(backend, blank(spec.shape), blank(spec.shape), spec,
+                                reducers=[_Linearization(spec.shape)])
 
 
 def test_linearized_model_is_exact_for_translations():
@@ -497,9 +496,9 @@ def test_linearized_model_is_exact_for_translations():
     shape = (6, 6, 6)
     spec = spec_for("translation", shape, count=40)
     backend = OracleBackend(PHI, ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7))
-    est, lin = _linearized(backend, spec)
+    est = _linearized(backend, spec)
     assert est["max_inversion_residual"] == 0.0
-    assert np.max(np.abs(est["cov"] - lin)) < 1e-12
+    assert np.max(np.abs(est["cov"] - est["linearized"])) < 1e-12
 
 
 def _linearized_cov_two_pass(backend, spec):
@@ -524,11 +523,11 @@ def test_one_pass_linearization_is_bitwise_the_two_pass_one(strength):
     spec = spec_for("deform", shape, count=20, deform_strength=strength)
     model = ErrorModel(mu=(0.3, 0.0, 0.0), sigma=0.2, seed=7)
     backend = OracleBackend(PHI, model, lenient_inversion=True)
-    est, lin = _linearized(backend, spec)
+    est = _linearized(backend, spec)
     ref, ref_residual = _linearized_cov_two_pass(
         OracleBackend(PHI, model, lenient_inversion=True), spec
     )
-    assert lin.tobytes() == ref.tobytes()
+    assert est["linearized"].tobytes() == ref.tobytes()
     assert est["max_inversion_residual"] == ref_residual
     assert ref_residual > 0.0
 
