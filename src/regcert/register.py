@@ -19,6 +19,7 @@ from .geometry import (
     DenseTransform,
     Transform,
     TranslationTransform,
+    _add_vec3,
     _frozen,
     grid_points,
     invert,
@@ -131,7 +132,7 @@ class ErrorModel:
             # (the jitter moments) sum in a stride-dependent order.
             base = np.ascontiguousarray(trilinear_sample(self.mu_field, pts))
         else:
-            base = np.broadcast_to(self.mu, (len(pts), 3)).copy()
+            base = _add_vec3(None, self.mu, out=np.empty((len(pts), 3)))
         if self.mu_scale is not None:
             base *= TAU_SCALE_FUNCTIONS[self.mu_scale](tau)
         return base
@@ -230,6 +231,24 @@ class OracleBackend(RegistrationBackend):
         self.true_transform = true_transform
         self.error_model = error_model
         self.lenient_inversion = bool(lenient_inversion)
+        self._grid_slot = None
+
+    def _grid_and_phi(self, shape):
+        """The target's voxel centres and phi at them, read-only (V, 3) arrays.
+
+        They are kept in one slot (shape, phi, grid, phi(grid)) while the
+        shape and the true_transform object stay the same.  The slot is
+        replaced as one tuple, so sample threads share it without a lock; a
+        race only computes it twice.
+        """
+        phi = self.true_transform
+        slot = self._grid_slot
+        if slot is None or slot[0] != shape or slot[1] is not phi:
+            grid = grid_points(shape).reshape(-1, 3)
+            phi_pos = phi.apply(grid)
+            grid.flags.writeable = phi_pos.flags.writeable = False
+            slot = self._grid_slot = (shape, phi, grid, phi_pos)
+        return slot[2], slot[3]
 
     def inverse_positions(self, tau: Transform, pts: np.ndarray) -> tuple[np.ndarray, float]:
         """tau^-1 evaluated at the given points, with the round-trip residual.
@@ -248,8 +267,7 @@ class OracleBackend(RegistrationBackend):
         fld = self.error_model.mu_field
         if fld is not None and fld.shape[:3] != shape:
             raise ValueError(f"mu_field is on a {fld.shape[:3]} grid, the target on {shape}")
-        grid = grid_points(shape).reshape(-1, 3)
-        phi_pos = self.true_transform.apply(grid)
+        grid, phi_pos = self._grid_and_phi(shape)
         if perturbation is None:
             positions, residual = phi_pos, 0.0
             tau_eff: Transform = TranslationTransform((0.0, 0.0, 0.0))
@@ -428,8 +446,10 @@ def _ssd_level(src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _check_ssd_params(levels, iters, step) -> None:
-    if levels < 1 or iters < 1 or step <= 0:
-        raise ValueError("need levels >= 1, iters >= 1, step > 0")
+    if levels < 1 or iters < 1:
+        raise ValueError("need levels >= 1 and iters >= 1")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
 
 
 def affine_ssd_register(
@@ -472,8 +492,10 @@ def affine_ssd_register(
 
 
 def _check_demons_params(iters, smooth_sigma) -> None:
-    if iters < 1 or smooth_sigma < 0:
-        raise ValueError("need iters >= 1 and smooth_sigma >= 0")
+    if iters < 1:
+        raise ValueError("need iters >= 1")
+    if not (np.isfinite(smooth_sigma) and smooth_sigma >= 0):
+        raise ValueError(f"smooth_sigma must be finite and >= 0, got {smooth_sigma!r}")
 
 
 def demons_register(

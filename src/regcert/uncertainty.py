@@ -47,16 +47,12 @@ REGIME_STRENGTH_MAX = 0.15
 MAX_THREADS = 256
 
 
-def _outer_tri(vecs: np.ndarray) -> np.ndarray:
-    """(N, 3) -> (N, 6) upper-triangle components of v v^T."""
-    out = np.empty((len(vecs), 6), dtype=np.float64)
-    for k, (i, j) in enumerate(_TRI):
-        out[:, k] = vecs[:, i] * vecs[:, j]
-    return out
-
-
 class _Moments:
-    """Shifted-sum per-voxel mean and covariance of (V, 3) samples, in add order."""
+    """Shifted-sum per-voxel mean and covariance of (V, 3) samples, in add order.
+
+    The sums are kept as contiguous rows, s1 (3, V) and s2 (6, V) in _TRI
+    order, so each update is a run of long contiguous loops.
+    """
 
     def __init__(self):
         self.n = 0
@@ -66,22 +62,30 @@ class _Moments:
         if self.ref is None:
             # Center on the first sample so the sums carry perturbation-sized
             # numbers, not absolute coordinates.
-            self.ref = x
-            self.s1 = np.zeros_like(x)
-            self.s2 = np.zeros((len(x), 6), dtype=np.float64)
-        c = x - self.ref
+            self.ref = np.ascontiguousarray(x.T)
+            self.s1 = np.zeros_like(self.ref)
+            self.s2 = np.zeros((6, len(x)), dtype=np.float64)
+        c = np.subtract(x.T, self.ref, out=np.empty_like(self.ref))
         self.s1 += c
-        # One column at a time: add runs on the calling thread while the
-        # sample threads work, so it holds no (V, 6) temporary.
+        # One row at a time: add runs on the calling thread while the sample
+        # threads work, so it holds no (6, V) temporary.
         for k, (i, j) in enumerate(_TRI):
-            self.s2[:, k] += c[:, i] * c[:, j]
+            self.s2[k] += c[i] * c[j]
         self.n += 1
 
     def finalize(self, divisor) -> tuple[np.ndarray, np.ndarray]:
         """(mean (V, 3), covariance (V, 6)) with the given covariance divisor."""
         mean_c = self.s1 / self.n
-        cov = self.s2 / divisor - (self.n / divisor) * _outer_tri(mean_c)
-        return self.ref + mean_c, cov
+        mean = np.add(self.ref.T, mean_c.T, out=np.empty(mean_c.shape[::-1], mean_c.dtype))
+        # s2 / divisor - (n / divisor) * mean_c[i] * mean_c[j], one component
+        # at a time, so no (6, V) temporary is alive next to the result.
+        cov = np.empty(self.s2.shape[::-1])
+        outer = np.empty(len(cov))
+        for k, (i, j) in enumerate(_TRI):
+            np.multiply(mean_c[i], mean_c[j], out=outer)
+            outer *= self.n / divisor
+            np.subtract(self.s2[k] / divisor, outer, out=cov[:, k])
+        return mean, cov
 
 
 class _Spread:

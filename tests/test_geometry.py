@@ -231,6 +231,49 @@ def test_affine_apply_point_shapes(pts_shape):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+@pytest.mark.parametrize("pts_shape", [(0, 3), (1, 3), (50, 3), (3,), (4, 5, 6, 3)])
+def test_add_vec3_is_the_broadcast_bit_for_bit(dtype, pts_shape):
+    rng = np.random.default_rng(21)
+    pts = (100.0 * rng.standard_normal(pts_shape)).astype(dtype)
+    vec = np.array([0.1, -1e-17, 3.7])
+    want = pts + vec
+    got = geometry._add_vec3(pts, vec)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # Into its own input, as AffineTransform.apply adds its offset.
+    if dtype is np.float64:
+        same = pts.copy()
+        assert geometry._add_vec3(same, vec, out=same) is same
+        assert same.tobytes() == want.tobytes()
+    # With no points it fills: signed zeros survive, as in the broadcast copy.
+    signed = np.array([-0.0, 0.0, 2.5])
+    filled = geometry._add_vec3(None, signed, out=np.empty(pts_shape))
+    assert filled.tobytes() == np.broadcast_to(signed, pts_shape).copy().tobytes()
+
+
+@pytest.mark.parametrize("pts_shape", [(0, 3), (3,), (1, 3), (4096, 3), (4, 5, 6, 3)])
+def test_linear_apply_is_the_broadcast_bit_for_bit(pts_shape):
+    rng = np.random.default_rng(22)
+    t = small_affine(rng)
+    pts = 20.0 * rng.standard_normal(pts_shape)
+    want = np.einsum("...j,ij->...i", pts, t.matrix) + t.offset
+    assert t.apply(pts).tobytes() == want.tobytes()
+    shift = TranslationTransform(t.offset)
+    assert shift.apply(pts).tobytes() == (pts + t.offset).tobytes()
+    assert shift.apply(pts.astype(np.float32)).tobytes() == (pts.astype(np.float32)
+                                                            + t.offset).tobytes()
+    # Points that are not 3-vectors are refused, as the broadcast refused them.
+    for bad in (np.zeros((5, 2)), np.zeros((5, 4))):
+        with pytest.raises(ValueError):
+            shift.apply(bad)
+        with pytest.raises(ValueError):
+            t.apply(bad)
+    # A list of points is taken as its array, as the broadcast took it.
+    listed = [[1.0, 2.0, 3.0], [-4.0, 5.5, 0.25]]
+    assert shift.apply(listed).tobytes() == (np.asarray(listed) + t.offset).tobytes()
+
+
 def test_center_fixed_fixes_center():
     rng = np.random.default_rng(3)
     a = np.eye(3) + 0.2 * rng.standard_normal((3, 3))

@@ -216,6 +216,37 @@ def test_oracle_returns_its_inversion_read_only():
             arr[0, 0] = 1.0
 
 
+def test_oracle_grid_slot_follows_the_shape_and_the_true_transform():
+    model = ErrorModel(mu=(0.2, 0.0, 0.1), sigma=0.3, seed=5)
+    backend = OracleBackend(PHI, model)
+    shapes = ((6, 7, 8), (5, 5, 5))
+    spec = PerturbSpec(family="affine", shape=shapes[0], seed=1, count=4)
+    # Two shapes alternating on one backend, then a new true_transform.
+    for phi, shape, n in ((PHI, shapes[0], 0), (PHI, shapes[1], 1), (PHI, shapes[0], 2),
+                          (PHI, shapes[1], 3), (AffineTransform(1.1 * np.eye(3), (0.5, 0, 0)),
+                                                shapes[1], 3)):
+        backend.true_transform = phi
+        tau = sample_perturbation(spec, n)
+        for perturbation in (tau, None):
+            got = backend.register(blank(shape), blank(shape), perturbation=perturbation, nonce=n)
+            want = OracleBackend(phi, model).register(blank(shape), blank(shape),
+                                                      perturbation=perturbation, nonce=n)
+            for arr in ("inverted_positions", "noise"):
+                assert getattr(got, arr).tobytes() == getattr(want, arr).tobytes()
+            assert got.transform.displacement.tobytes() == want.transform.displacement.tobytes()
+            assert got.inversion_residual == want.inversion_residual
+        # The unperturbed inversion is phi at the voxel centres.
+        phi_pos = phi.apply(grid_points(shape).reshape(-1, 3))
+        assert got.inverted_positions.tobytes() == phi_pos.tobytes()
+        # The slot's arrays are shared by every sample, so no caller may write them.
+        grid, kept = backend._grid_and_phi(shape)
+        assert kept is got.inverted_positions
+        assert grid.tobytes() == grid_points(shape).reshape(-1, 3).tobytes()
+        for arr in (grid, kept):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+
 def test_oracle_rejects_a_mu_field_on_another_grid():
     backend = OracleBackend(PHI, ErrorModel(mu_field=np.zeros((4, 4, 4, 3))))
     assert backend.register(blank((4, 4, 4)), blank((4, 4, 4))).noise.shape == (64, 3)
@@ -533,6 +564,21 @@ def test_demons_validation():
         demons_reference(flat, flat, 1, 1.0)
     with pytest.raises(ValueError, match="2 voxels"):
         demons_register(flat, flat)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_solvers_reject_non_finite_parameters(bad):
+    a = blank((8, 8, 8))
+    # NaN fails every comparison, so a sign test alone lets it through: a NaN
+    # smooth_sigma would run unsmoothed, as sigma 0 does.
+    with pytest.raises(ValueError, match="step"):
+        AffineSsdBackend(step=bad)
+    with pytest.raises(ValueError, match="step"):
+        affine_ssd_register(a, a, step=bad)
+    with pytest.raises(ValueError, match="smooth_sigma"):
+        DemonsBackend(smooth_sigma=bad)
+    with pytest.raises(ValueError, match="smooth_sigma"):
+        demons_register(a, a, smooth_sigma=bad)
 
 
 # ---------------------------------------------------------------------------

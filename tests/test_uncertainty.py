@@ -116,6 +116,45 @@ def test_moments_single_sample_has_zero_covariance():
     np.testing.assert_array_equal(cov, np.zeros((10, 6)))
 
 
+class _ColumnMoments:
+    """Reference: the moment sums as (V, 6) columns, one column per update."""
+
+    def __init__(self):
+        self.n, self.ref = 0, None
+
+    def add(self, x):
+        if self.ref is None:
+            self.ref = x
+            self.s1 = np.zeros_like(x)
+            self.s2 = np.zeros((len(x), 6))
+        c = x - self.ref
+        self.s1 += c
+        for k, (i, j) in enumerate(_TRI):
+            self.s2[:, k] += c[:, i] * c[:, j]
+        self.n += 1
+
+    def finalize(self, divisor):
+        mean_c = self.s1 / self.n
+        outer = np.empty((len(mean_c), 6))
+        for k, (i, j) in enumerate(_TRI):
+            outer[:, k] = mean_c[:, i] * mean_c[:, j]
+        return self.ref + mean_c, self.s2 / divisor - (self.n / divisor) * outer
+
+
+@pytest.mark.parametrize("voxels", [1, 97])
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_moment_rows_equal_the_column_sums_bit_for_bit(n, voxels):
+    draws = 3.0 + np.random.default_rng(14).standard_normal((n, voxels, 3))
+    rows, cols = _moments_of(draws), _ColumnMoments()
+    for x in draws:
+        cols.add(x)
+    for divisor in (n, n - 1) if n > 1 else (n,):
+        (mean, cov), (want_mean, want_cov) = rows.finalize(divisor), cols.finalize(divisor)
+        assert mean.shape == (voxels, 3) and cov.shape == (voxels, 6)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert cov.tobytes() == want_cov.tobytes()
+
+
 def test_estimate_bitwise_deterministic_and_thread_invariant():
     shape = (8, 8, 8)
     backend = OracleBackend(PHI, ErrorModel(sigma=0.2, seed=4))
