@@ -72,7 +72,8 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
-    except json.JSONDecodeError as exc:
+    # JSON text is UTF-8, and the decoder recurses once per nesting level.
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top-level config must be an object")
@@ -313,7 +314,10 @@ def _mask_from(path, shape) -> RoiMask:
     data = _volume_data(path)
     if data.shape != (*shape, 1):
         raise ConfigError(f"mask volume {path} must be 1-channel with shape {tuple(shape)}")
-    return RoiMask(data[..., 0] > 0.5)
+    selected = data[..., 0] > 0.5
+    if not selected.any():
+        raise ConfigError(f"mask volume {path} selects no voxels")
+    return RoiMask(selected)
 
 
 def cmd_simulate_pair(cfg: dict, out_dir: Path, seed: int, nifti_path=None) -> int:

@@ -235,12 +235,10 @@ def mse_decomposition_check(
         raise ValueError("need at least 2 draws")
     shape = tuple(int(s) for s in grid_shape)
     grid = grid_points(shape).reshape(-1, 3)
-    phi_pos = oracle.true_transform.apply(grid)
     blank = Volume3(np.zeros(shape, dtype=np.float32))
     acc = np.zeros(len(grid), dtype=np.float64)
     for m in range(draws):
-        out = oracle.register(blank, blank, perturbation=None, nonce=m).transform
-        eps = grid + out.displacement.reshape(-1, 3) - phi_pos
+        eps = oracle.register(blank, blank, perturbation=None, nonce=m).noise
         acc += (eps * eps).sum(axis=1)
     empirical = (acc / draws).reshape(shape)
     tau0 = TranslationTransform((0.0, 0.0, 0.0))

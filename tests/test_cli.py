@@ -97,6 +97,25 @@ def json_without_wall_time(path):
     return obj
 
 
+@pytest.fixture
+def estimated_maps(monkeypatch):
+    """The float64 maps of each estimate run in this test, as bytes by name, in run order.
+
+    estimate writes its maps as float32, which rounds away a difference in
+    their last bits, such as one from adding the samples in another order.
+    """
+    runs = []
+    real = cli.estimate_uncertainty
+
+    def recording(*args, **kwargs):
+        report = real(*args, **kwargs)
+        runs.append({k: v.tobytes() for k, v in report.items() if isinstance(v, np.ndarray)})
+        return report
+
+    monkeypatch.setattr(cli, "estimate_uncertainty", recording)
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # subprocess smoke
 
@@ -404,45 +423,65 @@ def test_full_pipeline_metrics_and_curves(tmp_path, capsys):
     assert "metrics:" in capsys.readouterr().out
 
 
-def test_pipeline_reruns_are_byte_identical_across_threads(tmp_path):
-    outs = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"run{threads}"
-        simulate(tmp_path, out)
-        est = write_cfg(tmp_path, "est.json", oracle_est_cfg())
+@pytest.mark.parametrize(
+    "shape, perturb",
+    [([20, 20, 20], {"family": "translation", "count": 12, "translation_fraction": 0.01}),
+     # A linear family's split is one row broadcast over the grid; deform draws split every voxel.
+     ([16, 16, 16], {"family": "deform", "count": 6}),
+     # Off a cube, the oracle's per-shape grid slot is shared by the sample threads.
+     ([16, 18, 20], {"family": "affine", "count": 6})],
+    ids=["translation", "deform", "affine-box"],
+)
+def test_pipeline_reruns_are_byte_identical_across_threads(tmp_path, estimated_maps,
+                                                          shape, perturb):
+    est = write_cfg(tmp_path, "est.json", oracle_est_cfg(perturb=perturb))
+    ev = write_cfg(tmp_path, "ev.json", {})
+    for threads in ("1", "2", "3"):
+        out = simulate(tmp_path, tmp_path / f"run{threads}", base_sim_cfg(shape=shape))
         assert main(["estimate", "--config", est, "--out", str(out), "--threads", threads]) == 0
-        ev = write_cfg(tmp_path, "ev.json", {})
         assert main(["evaluate", "--config", ev, "--out", str(out)]) == 0
-        outs.append(out)
-    a, b = outs
     # The oracle's closed-form split is reduced in the threaded pass too.
-    for name in ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "intrinsic.rcv", "jitter.rcv",
-                 "error.rcv", "risk_coverage_binned.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    assert json_without_wall_time(a / "estimate.json") != json_without_wall_time(b / "estimate.json")
-    ja, jb = (json_without_wall_time(p / "estimate.json") for p in (a, b))
-    ja.pop("threads"), jb.pop("threads")
-    assert ja == jb
-    assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+    assert sorted(estimated_maps[0]) == ["cov", "intrinsic", "jitter", "mean", "u"]
+    assert estimated_maps == [estimated_maps[0]] * 3
+    a = tmp_path / "run1"
+    ja = json_without_wall_time(a / "estimate.json")
+    assert ja.pop("threads") == 1
+    for threads in ("2", "3"):
+        b = tmp_path / f"run{threads}"
+        for name in ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "intrinsic.rcv", "jitter.rcv",
+                     "error.rcv", "metrics.json", "risk_coverage_binned.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (threads, name)
+        jb = json_without_wall_time(b / "estimate.json")
+        assert jb.pop("threads") == int(threads)
+        assert ja == jb
 
 
-def test_deform_demons_estimate_is_byte_identical_across_threads(tmp_path):
+def test_deform_demons_estimate_is_byte_identical_across_threads(tmp_path, estimated_maps):
     # Deform perturbations through the tensor-product warp and the demons
-    # solver, in 5 draws: one pool chunk at 3 threads, two workers busy at the end.
+    # solver, in 5 draws: one pool chunk, with two workers busy at the end at
+    # 3 threads.  Each threaded run is repeated five times, each into a fresh
+    # pair, so a fault in a sample thread that shows now and then still fails.
     cfg = base_sim_cfg(shape=[16, 16, 16], perturb={"family": "deform", "count": 5},
                        backend={"kind": "demons", "iters": 2})
-    outs = []
-    for threads in ("1", "3"):
-        out = simulate(tmp_path, tmp_path / f"run{threads}", cfg)
-        est = write_cfg(tmp_path, "est.json", cfg)
+    est = write_cfg(tmp_path, "est.json", cfg)
+
+    def run(threads, rerun=0):
+        out = simulate(tmp_path, tmp_path / f"run{threads}-{rerun}", cfg)
         assert main(["estimate", "--config", est, "--out", str(out), "--threads", threads]) == 0
-        outs.append(out)
-    a, b = outs
-    for name in ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "solver_log.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    ja, jb = (json_without_wall_time(p / "estimate.json") for p in (a, b))
-    assert (ja.pop("threads"), jb.pop("threads")) == (1, 3)
-    assert ja == jb
+        return out
+
+    a = run("1")
+    ja = json_without_wall_time(a / "estimate.json")
+    assert ja.pop("threads") == 1
+    for threads in ("2", "3"):
+        for rerun in range(5):
+            b = run(threads, rerun)
+            assert estimated_maps[-1] == estimated_maps[0], (threads, rerun)
+            for name in ("u.rcv", "cov.rcv", "mean.rcv", "pred.rcv", "solver_log.csv"):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (threads, rerun, name)
+            jb = json_without_wall_time(b / "estimate.json")
+            assert jb.pop("threads") == int(threads)
+            assert ja == jb
 
 
 @pytest.mark.parametrize("count", [0, 2, 3, 7])
@@ -554,12 +593,19 @@ def test_lemma_check_failure_exits_two(tmp_path, capsys, monkeypatch):
 # error handling and exit codes
 
 
-def test_invalid_json_config_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [b"{not json", b'\xff\xfe{"seed": 1}', b"[" * 200_000 + b"]" * 200_000],
+    ids=["not-json", "not-utf8", "too-deep"],
+)
+def test_invalid_json_config_exits_one(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_bytes(text)
     rc = main(["simulate-pair", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
 
 
 def test_missing_shape_exits_one(tmp_path, capsys):
@@ -917,19 +963,21 @@ def test_integer_path_leaves_the_callers_files_open(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize(
-    "key, shape",
-    [("mask_path", (16, 16, 16, 3)), ("mu_field_path", (16, 16, 16, 1)),
+    "key, shape, fill",
+    [("mask_path", (16, 16, 16, 3), 1.0), ("mu_field_path", (16, 16, 16, 1), 1.0),
      # A mu_field on another grid than the pair's would be sampled with clamped edges.
-     ("mu_field_path", (4, 4, 4, 3))],
-    ids=["mask_path-3", "mu_field_path-1", "mu_field_path-grid"],
+     ("mu_field_path", (4, 4, 4, 3), 1.0),
+     # A mask that selects no voxel leaves nothing to score.
+     ("mask_path", (16, 16, 16, 1), 0.0)],
+    ids=["mask_path-3", "mu_field_path-1", "mu_field_path-grid", "mask_path-empty"],
 )
-def test_config_volume_with_wrong_channels_exits_one(tmp_path, capsys, key, shape):
+def test_config_volume_with_wrong_channels_exits_one(tmp_path, capsys, key, shape, fill):
     out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
     est = oracle_est_cfg(count=4)
     assert main(["estimate", "--config", write_cfg(tmp_path, "est.json", est),
                  "--out", str(out)]) == 0
     path = tmp_path / "volume.rcv"
-    write_volume(path, Volume3(np.ones(shape, dtype=np.float32)))
+    write_volume(path, Volume3(np.full(shape, fill, dtype=np.float32)))
     if key == "mask_path":
         command, cfg = "evaluate", {"evaluate": {"mask_path": str(path)}}
     else:
@@ -940,8 +988,9 @@ def test_config_volume_with_wrong_channels_exits_one(tmp_path, capsys, key, shap
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("config error")
-    assert key == "mask_path" or "'mu_field_path'" in err
+    assert (str(path) if key == "mask_path" else "'mu_field_path'") in err
     assert (out / "u.rcv").read_bytes() == before
+    assert [name for name in EVALUATE_FILES if (out / name).exists()] == []
 
 
 @pytest.mark.parametrize("where", ["checks", "mse"])

@@ -293,15 +293,23 @@ def test_mse_check_requires_oracle_and_enough_draws():
         mse_decomposition_check(backend, 1, (6, 6, 6))
 
 
-def test_mse_check_exact_for_noise_free_model():
+@pytest.mark.parametrize("phi", ["translation", "affine"])
+@pytest.mark.parametrize("mu", [(0.5, 0.0, 0.0), (0.5, 0.1, 0.0)], ids=["mu-x", "mu-xy"])
+def test_mse_check_exact_for_noise_free_model(phi, mu):
     # Sigma = 0: every draw equals mu, so empirical == ||mu||^2 with zero
-    # scatter; 4 draws keep the division exact in floats.
-    backend = OracleBackend(
-        TranslationTransform((1.0, 0.0, 0.0)), ErrorModel(mu=(0.5, 0.0, 0.0))
-    )
+    # scatter; 4 draws keep the division exact in floats.  The check reads
+    # the drawn noise itself, so neither phi nor mu's rounding through
+    # phi(grid) + eps - grid can move a bit.
+    phis = {
+        "translation": TranslationTransform((1.0, 0.0, 0.0)),
+        "affine": AffineTransform(
+            [[1.1, 0.05, 0.0], [-0.04, 0.95, 0.02], [0.0, 0.03, 1.05]], (0.5, -0.25, 1.0)
+        ),
+    }
+    backend = OracleBackend(phis[phi], ErrorModel(mu=mu))
     rep = mse_decomposition_check(backend, 4, (6, 6, 6))
     assert np.array_equal(rep.empirical, rep.expected)
-    assert rep.mean_expected == pytest.approx(0.25)
+    assert rep.mean_expected == pytest.approx(sum(m * m for m in mu))
     assert rep.median_rel_error == 0.0
     assert rep.chi2_rel_std == 0.0
 
