@@ -42,6 +42,7 @@ from .register import (
 from .uncertainty import (
     CovDecomposition,
     LemmaCheckReport,
+    SampleError,
     decompose_cov,
     estimate_uncertainty,
     verify_lemma,

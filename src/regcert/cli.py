@@ -43,7 +43,7 @@ from .geometry import (
 from .metrics import bin_curve, error_map, mse_decomposition_check, pearson, risk_coverage, spearman
 from .perturb import GtSpec, PerturbSpec, simulate_gt_with_info
 from .register import LINEAR_TAU_SCALES, AffineSsdBackend, DemonsBackend, ErrorModel, OracleBackend
-from .uncertainty import MAX_THREADS, decompose_cov, estimate_uncertainty, verify_lemma
+from .uncertainty import MAX_THREADS, SampleError, decompose_cov, estimate_uncertainty, verify_lemma
 from .volume import (
     RoiMask,
     Volume3,
@@ -302,7 +302,7 @@ def _truth_from(out_dir: Path) -> Transform:
                 return TranslationTransform(info["offset"])
             if info["kind"] == "affine":
                 return AffineTransform(info["matrix"], info["offset"])
-        except (ValueError, LookupError, TypeError) as exc:
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
             what = f"{type(exc).__name__}: {exc}"
             raise VolumeFormatError(f"{meta_path}: malformed ({what})") from exc
     return DenseTransform(_volume_data(out_dir / "gt.rcv", 3))
@@ -465,7 +465,7 @@ def cmd_lemma_check(cfg: dict, out_dir: Path, seed: int) -> int:
         all_ok = all_ok and rep.passed
     mse_reports = []
     for model, draws in cases:
-        rep = mse_decomposition_check(OracleBackend(phi, model), draws, grid)
+        rep = mse_decomposition_check(model, draws, grid)
         mse_reports.append(rep.to_dict())
         status = "PASS" if rep.passed else "FAIL"
         print(
@@ -558,13 +558,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
     except (VolumeFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (ConvergenceError, SampleError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .geometry import DenseTransform, Transform, TranslationTransform, _frozen, grid_points
-from .register import OracleBackend
 from .volume import RoiMask, Volume3
 
 __all__ = [
@@ -218,32 +217,30 @@ class MseDecompositionReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
-def mse_decomposition_check(
-    oracle: OracleBackend, draws: int, grid_shape
-) -> MseDecompositionReport:
-    """Sample the unperturbed oracle and test E||eps||^2 = ||mu||^2 + tr Sigma.
+def mse_decomposition_check(model, draws: int, grid_shape) -> MseDecompositionReport:
+    """Draw the ErrorModel's residuals at tau = 0 and test E||eps||^2 = ||mu||^2 + tr Sigma.
 
-    chi2_rel_std is the per-voxel relative standard deviation of the
-    empirical mean, sqrt(Var(||eps||^2)/draws)/E||eps||^2 with
-    Var(||eps||^2) = 2 tr(Sigma^2) + 4 mu^T Sigma mu.  passed requires the
-    mean empirical value within max(3 chi2_rel_std, 5%) of the expected one
-    (5% when chi2_rel_std is undefined).
+    Draw m is model.sample(tau0, grid, m), the noise the oracle draws for an
+    unperturbed registration with nonce m.  chi2_rel_std is the per-voxel
+    relative standard deviation of the empirical mean,
+    sqrt(Var(||eps||^2)/draws)/E||eps||^2 with Var(||eps||^2) =
+    2 tr(Sigma^2) + 4 mu^T Sigma mu.  passed requires the mean empirical
+    value within max(3 chi2_rel_std, 5%) of the expected one (5% when
+    chi2_rel_std is undefined).
     """
-    if not isinstance(oracle, OracleBackend):
-        raise TypeError("mse decomposition check requires the oracle backend")
     if draws < 2:
         raise ValueError("need at least 2 draws")
     shape = tuple(int(s) for s in grid_shape)
+    model.require_grid(shape)
     grid = grid_points(shape).reshape(-1, 3)
-    blank = Volume3(np.zeros(shape, dtype=np.float32))
+    tau0 = TranslationTransform((0.0, 0.0, 0.0))
     acc = np.zeros(len(grid), dtype=np.float64)
     for m in range(draws):
-        eps = oracle.register(blank, blank, perturbation=None, nonce=m).noise
+        eps = model.sample(tau0, grid, m)
         acc += (eps * eps).sum(axis=1)
     empirical = (acc / draws).reshape(shape)
-    tau0 = TranslationTransform((0.0, 0.0, 0.0))
-    mu = oracle.error_model.mean(tau0, grid)
-    sig = oracle.error_model.cov(tau0)
+    mu = model.mean(tau0, grid)
+    sig = model.cov(tau0)
     expected = ((mu * mu).sum(axis=1) + np.trace(sig)).reshape(shape)
     rel = np.abs(empirical - expected) / np.maximum(expected, 1e-300)
     mean_expected = float(expected.mean())

@@ -125,6 +125,11 @@ class ErrorModel:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
 
+    def require_grid(self, shape) -> None:
+        """Raise ValueError unless the mu_field, if any, lies on the grid shape."""
+        if self.mu_field is not None and self.mu_field.shape[:3] != tuple(shape):
+            raise ValueError(f"mu_field is on a {self.mu_field.shape[:3]} grid, not {tuple(shape)}")
+
     def mean(self, tau: Transform, pts: np.ndarray) -> np.ndarray:
         """mu_eps(tau; y) at (N, 3) points, shape (N, 3)."""
         if self.mu_field is not None:
@@ -264,9 +269,7 @@ class OracleBackend(RegistrationBackend):
 
     def register(self, source, target, perturbation=None, nonce=0):
         shape = target.shape
-        fld = self.error_model.mu_field
-        if fld is not None and fld.shape[:3] != shape:
-            raise ValueError(f"mu_field is on a {fld.shape[:3]} grid, the target on {shape}")
+        self.error_model.require_grid(shape)
         grid, phi_pos = self._grid_and_phi(shape)
         if perturbation is None:
             positions, residual = phi_pos, 0.0

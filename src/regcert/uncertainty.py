@@ -25,6 +25,7 @@ from .volume import Volume3, make_phantom, warp
 
 __all__ = [
     "estimate_uncertainty",
+    "SampleError",
     "CovDecomposition",
     "decompose_cov",
     "LemmaCheckReport",
@@ -45,6 +46,11 @@ REGIME_STRENGTH_MAX = 0.15
 # The most sample threads estimate_uncertainty starts.  It is not capped at
 # the core count: more threads than cores is legal and thread-invariant.
 MAX_THREADS = 256
+
+
+class SampleError(RuntimeError):
+    """The backend failed on one perturbation sample; the message names it and
+    __cause__ holds the backend's exception."""
 
 
 class _Moments:
@@ -135,13 +141,7 @@ def _one_sample(backend, source, target, spec, n, reducers):
         reg = backend.register(perturbed, target, perturbation=tau, nonce=n)
         fitted = dense(reg.transform, target.shape)
     except Exception as exc:
-        msg = f"backend failed on perturbation sample {n}: {exc}"
-        try:
-            wrapped = type(exc)(msg)
-        except TypeError:
-            # The exception type cannot be built from a message alone.
-            wrapped = RuntimeError(msg)
-        raise wrapped from exc
+        raise SampleError(f"backend failed on perturbation sample {n}: {exc}") from exc
     pts = grid_points(fitted.shape).reshape(-1, 3)
     pts += fitted.displacement.reshape(-1, 3)
     # Compose tau o fitted with tau evaluated analytically at fitted(y).

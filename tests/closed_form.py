@@ -7,8 +7,11 @@ against decompose_cov.  split_on_the_pass reduces decompose_cov's split in
 the estimator's pass on blank volumes.  tri_to_matrices unpacks the estimator's per-voxel
 covariance components for comparison with full matrices.  demons_reference
 is the demons loop written with a fresh array per step, which
-demons_register must equal bit for bit.
+demons_register must equal bit for bit.  blank and write_minimal_nifti
+build inputs that several test modules share.
 """
+
+import struct
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -19,10 +22,32 @@ from regcert.uncertainty import _TRI, decompose_cov, estimate_uncertainty
 from regcert.volume import Volume3
 
 
+def blank(shape) -> Volume3:
+    """An all-zero volume, for backends that never read voxel values."""
+    return Volume3(np.zeros(shape, dtype=np.float32))
+
+
+def write_minimal_nifti(path, data, spacing=(1.0, 1.0, 1.0), byteorder="<"):
+    """348-byte header + 4-byte extension flag + float32 payload (x fastest)."""
+    hdr = bytearray(348)
+    struct.pack_into(f"{byteorder}i", hdr, 0, 348)
+    dim = (3,) + data.shape + (1, 1, 1, 1)
+    struct.pack_into(f"{byteorder}8h", hdr, 40, *dim)
+    struct.pack_into(f"{byteorder}h", hdr, 70, 16)  # float32
+    struct.pack_into(f"{byteorder}h", hdr, 72, 32)  # bitpix
+    pixdim = (1.0,) + tuple(spacing) + (0.0, 0.0, 0.0, 0.0)
+    struct.pack_into(f"{byteorder}8f", hdr, 76, *pixdim)
+    struct.pack_into(f"{byteorder}f", hdr, 108, 352.0)
+    struct.pack_into(f"{byteorder}3f", hdr, 268, 0.0, 0.0, 0.0)
+    hdr[344:348] = b"n+1\x00"
+    payload = np.asarray(data, dtype=f"{byteorder}f4").ravel(order="F").tobytes()
+    path.write_bytes(bytes(hdr) + b"\x00" * 4 + payload)
+
+
 def split_on_the_pass(backend, spec, threads: int = 1) -> dict:
     """The estimate with decompose_cov's intrinsic and jitter, from one pass on blank volumes."""
-    blank = Volume3(np.zeros(spec.shape, dtype=np.float32))
-    return estimate_uncertainty(backend, blank, blank, spec, threads=threads,
+    empty = blank(spec.shape)
+    return estimate_uncertainty(backend, empty, empty, spec, threads=threads,
                                 reducers=[decompose_cov(backend, spec)])
 
 

@@ -30,9 +30,9 @@ from regcert.uncertainty import (
     relative_frobenius,
     verify_lemma,
 )
-from regcert.volume import RoiMask, Volume3
+from regcert.volume import RoiMask
 
-from closed_form import closed_form_cov_affine, split_on_the_pass, tri_to_matrices
+from closed_form import blank, closed_form_cov_affine, split_on_the_pass, tri_to_matrices
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
 _TRI_ROWS = ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])
@@ -43,10 +43,6 @@ def _once(key, fn):
     if key not in _CACHE:
         _CACHE[key] = fn()
     return _CACHE[key]
-
-
-def _blank(shape) -> Volume3:
-    return Volume3(np.zeros(shape, dtype=np.float32))
 
 
 def _digest(*chunks) -> str:
@@ -83,7 +79,7 @@ def _run_c1(threads=1):
     spec = PerturbSpec(family="translation", shape=shape, seed=1, count=2000)
     t0 = time.perf_counter()
     est = estimate_uncertainty(
-        OracleBackend(PHI, model), _blank(shape), _blank(shape), spec, threads=threads
+        OracleBackend(PHI, model), blank(shape), blank(shape), spec, threads=threads
     )
     elapsed = time.perf_counter() - t0
     expected = (0.25 * np.eye(3))[_TRI_ROWS]
@@ -105,7 +101,7 @@ def _run_c2(threads=1):
         family="scale", shape=shape, seed=2, count=2000, scale_range=(0.9, 1.1)
     )
     est = estimate_uncertainty(
-        OracleBackend(PHI, model), _blank(shape), _blank(shape), spec, threads=threads
+        OracleBackend(PHI, model), blank(shape), blank(shape), spec, threads=threads
     )
     var_s = 0.2**2 / 12.0  # Var U(0.9,1.1) = 1/300
     e_s2 = 1.0 + var_s  # E[s^2] = 301/300
@@ -155,7 +151,7 @@ def _run_c4(threads=1):
         spec = PerturbSpec(family=family, shape=shape, seed=5, count=8)
         backend = OracleBackend(PHI, ErrorModel())
         est = estimate_uncertainty(
-            backend, _blank(shape), _blank(shape), spec, threads=threads
+            backend, blank(shape), blank(shape), spec, threads=threads
         )
         max_u = float(est["u"].max())
         residual = max(
@@ -179,7 +175,7 @@ def _run_c5():
     rows = []
     for mu, sigma, expected in _C5_CASES:
         model = ErrorModel(mu=mu, sigma=sigma, seed=21)
-        rep = mse_decomposition_check(OracleBackend(PHI, model), 2000, (12, 12, 12))
+        rep = mse_decomposition_check(model, 2000, (12, 12, 12))
         band = 3.0 * rep.chi2_rel_std * rep.mean_expected
         rows.append((rep.mean_empirical, rep.mean_expected, band, expected))
     return {"rows": rows, "digest": _digest(np.array([r[0] for r in rows]))}

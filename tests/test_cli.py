@@ -25,6 +25,8 @@ from regcert.perturb import PerturbSpec
 from regcert.uncertainty import MAX_THREADS
 from regcert.volume import Volume3, read_volume, write_volume
 
+from closed_form import write_minimal_nifti
+
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -34,22 +36,6 @@ def write_cfg(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
-
-
-def write_minimal_nifti(path, data, spacing=(1.0, 1.0, 1.0), byteorder="<"):
-    """348-byte header + 4-byte extension flag + float32 payload (x fastest)."""
-    hdr = bytearray(348)
-    struct.pack_into(f"{byteorder}i", hdr, 0, 348)
-    dim = (3,) + data.shape + (1, 1, 1, 1)
-    struct.pack_into(f"{byteorder}8h", hdr, 40, *dim)
-    struct.pack_into(f"{byteorder}h", hdr, 70, 16)  # float32
-    struct.pack_into(f"{byteorder}h", hdr, 72, 32)  # bitpix
-    pixdim = (1.0,) + tuple(spacing) + (0.0, 0.0, 0.0, 0.0)
-    struct.pack_into(f"{byteorder}8f", hdr, 76, *pixdim)
-    struct.pack_into(f"{byteorder}f", hdr, 108, 352.0)
-    hdr[344:348] = b"n+1\x00"
-    payload = np.asarray(data, dtype=f"{byteorder}f4").ravel(order="F").tobytes()
-    path.write_bytes(bytes(hdr) + b"\x00" * 4 + payload)
 
 
 def base_sim_cfg(**extra):
@@ -1040,21 +1026,42 @@ def test_affine_phi_without_matrix_exits_one(tmp_path, capsys):
     assert "matrix" in capsys.readouterr().err
 
 
-def test_non_invertible_perturbation_exits_two(tmp_path, capsys):
+class _ArrayMemoryError(MemoryError):
+    """Built like numpy's out-of-memory error: from a shape and a dtype, not a message."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(shape, dtype)
+        self.shape, self.dtype = shape, np.dtype(dtype)
+
+    def __str__(self):
+        return f"Unable to allocate array with shape {self.shape} and data type {self.dtype}"
+
+
+@pytest.mark.parametrize("failure", ["non-invertible", "memory"])
+def test_non_invertible_perturbation_exits_two(tmp_path, capsys, monkeypatch, failure):
     out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))
-    cfg = write_cfg(
-        tmp_path,
-        "est.json",
-        {
-            "perturb": {"family": "deform", "count": 2, "node_max": 60.0, "deform_strength": 1.0},
-            "backend": {"kind": "oracle"},
-        },
-    )
-    rc = main(["estimate", "--config", cfg, "--out", str(out)])
-    assert rc == 2
+    est = {
+        "perturb": {"family": "deform", "count": 2, "node_max": 60.0, "deform_strength": 1.0},
+        "backend": {"kind": "oracle"},
+    }
+    sample = 0
+    if failure == "memory":
+        # An exception that cannot be rebuilt from a message still names its sample.
+        est, sample = oracle_est_cfg(count=4), 2
+        register = cli.OracleBackend.register
+
+        def failing(self, source, target, perturbation=None, nonce=0):
+            if nonce == 2:
+                raise _ArrayMemoryError((1 << 40, 3), np.float64)
+            return register(self, source, target, perturbation, nonce)
+
+        monkeypatch.setattr(cli.OracleBackend, "register", failing)
+    rc = main(["estimate", "--config", write_cfg(tmp_path, "est.json", est), "--out", str(out)])
     err = capsys.readouterr().err
-    assert "numeric failure:" in err
-    assert "perturbation sample" in err
+    assert rc == 2
+    assert f"numeric failure: backend failed on perturbation sample {sample}:" in err
+    assert "Traceback" not in err
+    assert not (out / "estimate.json").exists()
 
 
 def test_estimate_without_pair_exits_three(tmp_path, capsys):
@@ -1093,8 +1100,9 @@ def test_corrupt_volume_spacing_exits_three(tmp_path, capsys):
         '{"gt": ',
         '{"gt": {"kind": "affine", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}',
         '[{"gt": {"kind": "translation", "offset": [1.0, 0.0, 0.0]}}]',
+        "[" * 100_000 + "]" * 100_000,
     ],
-    ids=["truncated", "affine-without-offset", "top-level-list"],
+    ids=["truncated", "affine-without-offset", "top-level-list", "too-deep"],
 )
 def test_malformed_gt_json_exits_three(tmp_path, capsys, text):
     out = simulate(tmp_path, tmp_path / "pair", base_sim_cfg(shape=[16, 16, 16]))

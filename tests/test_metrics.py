@@ -26,7 +26,7 @@ from regcert.metrics import (
     risk_coverage,
     spearman,
 )
-from regcert.register import AffineSsdBackend, ErrorModel, OracleBackend
+from regcert.register import ErrorModel
 from regcert.volume import RoiMask, Volume3
 
 finite_arrays = hnp.arrays(
@@ -285,29 +285,20 @@ def test_bin_curve_with_fewer_points_than_bins():
 # mean-squared-error decomposition
 
 
-def test_mse_check_requires_oracle_and_enough_draws():
-    with pytest.raises(TypeError, match="oracle backend"):
-        mse_decomposition_check(AffineSsdBackend(), 10, (6, 6, 6))
-    backend = OracleBackend(TranslationTransform((1.0, 0.0, 0.0)), ErrorModel())
+def test_mse_check_requires_enough_draws():
     with pytest.raises(ValueError, match="at least 2"):
-        mse_decomposition_check(backend, 1, (6, 6, 6))
+        mse_decomposition_check(ErrorModel(), 1, (6, 6, 6))
+    # The mean field is sampled voxel by voxel, so it must lie on the check's grid.
+    off_grid = ErrorModel(mu_field=np.zeros((4, 4, 4, 3)))
+    with pytest.raises(ValueError, match=r"mu_field is on a \(4, 4, 4\) grid"):
+        mse_decomposition_check(off_grid, 10, (6, 6, 6))
 
 
-@pytest.mark.parametrize("phi", ["translation", "affine"])
 @pytest.mark.parametrize("mu", [(0.5, 0.0, 0.0), (0.5, 0.1, 0.0)], ids=["mu-x", "mu-xy"])
-def test_mse_check_exact_for_noise_free_model(phi, mu):
+def test_mse_check_exact_for_noise_free_model(mu):
     # Sigma = 0: every draw equals mu, so empirical == ||mu||^2 with zero
-    # scatter; 4 draws keep the division exact in floats.  The check reads
-    # the drawn noise itself, so neither phi nor mu's rounding through
-    # phi(grid) + eps - grid can move a bit.
-    phis = {
-        "translation": TranslationTransform((1.0, 0.0, 0.0)),
-        "affine": AffineTransform(
-            [[1.1, 0.05, 0.0], [-0.04, 0.95, 0.02], [0.0, 0.03, 1.05]], (0.5, -0.25, 1.0)
-        ),
-    }
-    backend = OracleBackend(phis[phi], ErrorModel(mu=mu))
-    rep = mse_decomposition_check(backend, 4, (6, 6, 6))
+    # scatter; 4 draws keep the division exact in floats.
+    rep = mse_decomposition_check(ErrorModel(mu=mu), 4, (6, 6, 6))
     assert np.array_equal(rep.empirical, rep.expected)
     assert rep.mean_expected == pytest.approx(sum(m * m for m in mu))
     assert rep.median_rel_error == 0.0
@@ -319,10 +310,7 @@ def test_mse_check_matches_mean_plus_trace():
     # empirical mean well inside three relative standard deviations.
     mu = (1.0, 1.0, 1.0)
     sigma = 0.25 * np.eye(3)
-    backend = OracleBackend(
-        TranslationTransform((1.0, 0.0, 0.0)), ErrorModel(mu=mu, sigma=sigma, seed=3)
-    )
-    rep = mse_decomposition_check(backend, 500, (8, 8, 8))
+    rep = mse_decomposition_check(ErrorModel(mu=mu, sigma=sigma, seed=3), 500, (8, 8, 8))
     assert rep.mean_expected == pytest.approx(3.75)
     band = 3.0 * rep.chi2_rel_std * rep.mean_expected
     assert abs(rep.mean_empirical - rep.mean_expected) <= band

@@ -37,13 +37,9 @@ from regcert.register import (
 )
 from regcert.volume import Volume3, make_phantom, warp
 
-from closed_form import demons_reference
+from closed_form import blank, demons_reference
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
-
-
-def blank(shape):
-    return Volume3(np.zeros(shape, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------

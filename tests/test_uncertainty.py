@@ -6,6 +6,7 @@ stream is genuinely involved.
 """
 
 import json
+import pickle
 import threading
 import warnings
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from regcert.register import (
 from regcert.uncertainty import (
     MAX_THREADS,
     REGIME_STRENGTH_MAX,
+    SampleError,
     decompose_cov,
     estimate_uncertainty,
     mc_relative_bound,
@@ -36,15 +38,11 @@ from regcert.uncertainty import (
     verify_lemma,
 )
 from regcert.uncertainty import _TRI, _Linearization, _Moments
-from regcert.volume import Volume3, make_phantom, warp
+from regcert.volume import make_phantom, warp
 
-from closed_form import closed_form_cov_affine, split_on_the_pass, tri_to_matrices
+from closed_form import blank, closed_form_cov_affine, split_on_the_pass, tri_to_matrices
 
 PHI = TranslationTransform((1.5, -0.75, 0.5))
-
-
-def blank(shape):
-    return Volume3(np.zeros(shape, dtype=np.float32))
 
 
 def spec_for(family, shape=(8, 8, 8), count=20, **kw):
@@ -259,8 +257,9 @@ def test_backend_failure_reports_sample_index():
     shape = (16, 16, 16)
     src = make_phantom(shape, "blobs", seed=0)
     spec = PerturbSpec(family="translation", shape=shape, seed=0, count=6)
-    with pytest.raises(ValueError, match="sample 3"):
+    with pytest.raises(SampleError, match="sample 3: synthetic failure") as info:
         estimate_uncertainty(Failing(levels=1, iters=2, step=0.5), src, src, spec)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_backend_failure_with_multi_argument_exception_reports_sample_index():
@@ -275,10 +274,14 @@ def test_backend_failure_with_multi_argument_exception_reports_sample_index():
             return super().register(source, target, perturbation, nonce)
 
     shape = (6, 6, 6)
-    with pytest.raises(RuntimeError, match="sample 2") as info:
+    with pytest.raises(SampleError, match="sample 2") as info:
         estimate_uncertainty(Failing(PHI, ErrorModel()), blank(shape), blank(shape),
                              spec_for("translation", shape, count=4))
-    assert isinstance(info.value.__cause__, TwoArgError)
+    err = info.value
+    assert isinstance(err.__cause__, TwoArgError)
+    # A worker process would ship the error to its parent this way.
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is SampleError and str(copy) == str(err)
 
 
 def test_oracle_estimate_never_warps_the_source(monkeypatch):
@@ -639,10 +642,14 @@ def test_threaded_failure_leaves_no_worker_running(where):
     before = threading.active_count()
     # Sample 13 falls in the second pool chunk of 12.  The held traceback keeps
     # the call's frame alive, so garbage collection cannot be what ends the pool.
-    with pytest.raises(ValueError, match="sample 13") as info:
+    # A backend's error reaches the caller as a SampleError, a reducer's as it is.
+    expected = SampleError if where == "backend" else ValueError
+    with pytest.raises(expected, match="sample 13") as info:
         estimate_uncertainty(Failing(PHI, ErrorModel()), blank(shape), blank(shape),
                              spec_for("translation", shape, count=30), threads=3,
                              reducers=reducers)
+    if where == "backend":
+        assert isinstance(info.value.__cause__, ValueError)
     assert info.tb is not None
     assert threading.active_count() == before
 

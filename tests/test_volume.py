@@ -24,6 +24,8 @@ from regcert.volume import (
     write_volume,
 )
 
+from closed_form import write_minimal_nifti
+
 
 def lerp_sample_oracle(data, p):
     """Scalar trilinear lookup by nested 1-D lerps with edge clamping."""
@@ -41,23 +43,6 @@ def lerp_sample_oracle(data, p):
     c0 = c00 + f[1] * (c01 - c00)
     c1 = c10 + f[1] * (c11 - c10)
     return c0 + f[0] * (c1 - c0)
-
-
-def write_minimal_nifti(path, data, spacing=(1.0, 1.0, 1.0), byteorder="<"):
-    """348-byte header + 4-byte extension flag + float32 payload (x fastest)."""
-    hdr = bytearray(348)
-    struct.pack_into(f"{byteorder}i", hdr, 0, 348)
-    dim = (3,) + data.shape + (1, 1, 1, 1)
-    struct.pack_into(f"{byteorder}8h", hdr, 40, *dim)
-    struct.pack_into(f"{byteorder}h", hdr, 70, 16)  # float32
-    struct.pack_into(f"{byteorder}h", hdr, 72, 32)  # bitpix
-    pixdim = (1.0,) + tuple(spacing) + (0.0, 0.0, 0.0, 0.0)
-    struct.pack_into(f"{byteorder}8f", hdr, 76, *pixdim)
-    struct.pack_into(f"{byteorder}f", hdr, 108, 352.0)
-    struct.pack_into(f"{byteorder}3f", hdr, 268, 0.0, 0.0, 0.0)
-    hdr[344:348] = b"n+1\x00"
-    payload = np.asarray(data, dtype=f"{byteorder}f4").ravel(order="F").tobytes()
-    path.write_bytes(bytes(hdr) + b"\x00" * 4 + payload)
 
 
 # ---------------------------------------------------------------------------
